@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: mahler, padic-mahler, iwasawa, entropy, mp, hbar, homology,
-growth, verify-corpus.  Output is aligned text by default or JSON with
+Subcommands: mahler, iwasawa, entropy, mp, hbar, homology, growth,
+verify-corpus.  Output is aligned text by default or JSON with
 --format json.  Exit codes: 0 success, 1 corpus verification failure,
 2 usage error (argparse), 3 parse error, 4 domain/precondition error,
 5 precision error, 6 convergence error.
@@ -39,8 +39,8 @@ EXIT_CONVERGENCE = 6
 def _add_poly_options(sub):
     sub.add_argument("--poly", help="one-variable polynomial text")
     sub.add_argument("--delta", help="multivariable polynomial text")
-    sub.add_argument("--subs", help="comma-separated exponents for --delta, "
-                                    "e.g. '1,-1'")
+    sub.add_argument("--subs", type=exponents,
+                     help="comma-separated exponents for --delta, e.g. '1,-1'")
 
 
 def _resolve_poly(args):
@@ -52,15 +52,18 @@ def _resolve_poly(args):
     if isinstance(delta, MultivariatePolynomial):
         if args.subs is None:
             raise DomainError("--delta needs --subs exponents")
-        exps = [int(x) for x in args.subs.split(",")]
-        return substitute_onevar(delta, exps)
+        return substitute_onevar(delta, args.subs)
     return delta
 
 
-def _place(text):
-    if text in ("inf", "infinity", "oo"):
-        return INFINITY
-    return int(text)
+def exponents(text):
+    """The --subs argument: comma-separated integers."""
+    return [int(x) for x in text.split(",")]
+
+
+def place(text):
+    """The --place argument: 'inf' or an integer."""
+    return INFINITY if text in ("inf", "infinity", "oo") else int(text)
 
 
 def _emit(args, payload: dict, text: str):
@@ -80,12 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("mahler", help="log Mahler measure at a place")
     _add_poly_options(s)
-    s.add_argument("--place", default="inf", help="'inf' or a prime")
+    s.add_argument("--place", type=place, default="inf",
+                   help="'inf' or a prime")
     s.add_argument("--tol", type=float, default=1e-12)
-
-    s = subs.add_parser("padic-mahler", help="p-adic log Mahler measure")
-    _add_poly_options(s)
-    s.add_argument("--prime", type=int, required=True)
 
     s = subs.add_parser("iwasawa", help="Iwasawa invariants, both routes")
     _add_poly_options(s)
@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("growth", help="cyclic resultant growth sequence")
     _add_poly_options(s)
-    s.add_argument("--place", default="inf")
+    s.add_argument("--place", type=place, default="inf",
+                   help="'inf' or a prime")
     s.add_argument("--nmax", type=int, default=100)
     s.add_argument("--skip-p-multiples", action="store_true")
     s.add_argument("--pure", action="store_true",
@@ -132,30 +133,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
+    if args.command == "verify-corpus":
+        report = verify_corpus(load_corpus(args.corpus), tol=args.tol)
+        print(report.to_json() if args.format == "json" else report.to_text())
+        return report.exit_status
+
+    poly = _resolve_poly(args)
     if args.command == "mahler":
-        poly = _resolve_poly(args)
-        place = _place(args.place)
-        if place == INFINITY:
+        if args.place == INFINITY:
             m = mahler_euclidean(poly, tol=args.tol)
             _emit(args, m.to_dict(),
                   f"log m({poly}) = {m.value:.10f}  (abs error <= {m.error:.2e})")
         else:
-            m = mahler_padic(poly, place)
+            m = mahler_padic(poly, args.place)
             _emit(args, m.to_dict(),
-                  f"log m_{place}({poly}) = {m.coefficient} * log {place} "
-                  f"= {m.value:.10f}")
-        return 0
-
-    if args.command == "padic-mahler":
-        poly = _resolve_poly(args)
-        m = mahler_padic(poly, args.prime)
-        _emit(args, m.to_dict(),
-              f"log m_{args.prime}({poly}) = {m.coefficient} * log "
-              f"{args.prime} = {m.value:.10f}")
+                  f"log m_{args.place}({poly}) = {m.coefficient} * log "
+                  f"{args.place} = {m.value:.10f}")
         return 0
 
     if args.command == "iwasawa":
-        poly = _resolve_poly(args)
         inv = fit_invariants(poly, args.prime, args.rmax)
         lam = lambda_invariant(poly, args.prime)
         mu = mu_invariant(poly, args.prime)
@@ -167,7 +163,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "entropy":
-        poly = _resolve_poly(args)
         rep = entropy_total(poly, tol=args.tol)
         finite = ", ".join(f"h_{p} = {c} * log {p}" for p, c in rep.h_p.items())
         _emit(args, rep.to_dict(),
@@ -176,7 +171,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "mp":
-        poly = _resolve_poly(args)
         est = pure_log_mahler_estimate(poly, args.prime, args.nbudget,
                                        args.precision)
         payload = est.to_dict()
@@ -196,7 +190,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "hbar":
-        poly = _resolve_poly(args)
         res = pure_entropy(poly, args.prime, args.nbudget, args.precision,
                            solenoid_convention=args.solenoid)
         _emit(args, res.to_dict(),
@@ -204,7 +197,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "homology":
-        poly = _resolve_poly(args)
         order, caveat = branched_cover_homology_order(poly, args.n,
                                                       args.components)
         note = " (up to a bounded factor)" if caveat else ""
@@ -213,19 +205,17 @@ def _run(args) -> int:
         return 0
 
     if args.command == "growth":
-        poly = _resolve_poly(args)
-        place = _place(args.place)
         if args.pure:
-            if place == INFINITY:
+            if args.place == INFINITY:
                 raise DomainError("--pure needs a finite place")
-            res = pure_link_growth(poly, args.components, place,
+            res = pure_link_growth(poly, args.components, args.place,
                                    n_budget=args.nmax,
                                    precision=args.precision)
             _emit(args, res.to_dict(),
-                  f"purely {place}-adic growth limit = "
+                  f"purely {args.place}-adic growth limit = "
                   f"{res.value.digit_string()}")
             return 0
-        rep = resultant_limit_estimate(poly, place, args.nmax,
+        rep = resultant_limit_estimate(poly, args.place, args.nmax,
                                        skip_p_multiples=args.skip_p_multiples)
         n_last, est_last = rep.estimates(args.skip_p_multiples)[-1]
         _emit(args, rep.to_dict(),
@@ -233,15 +223,6 @@ def _run(args) -> int:
               f"{rep.limit:.10f}; closed form {rep.closed_form:.10f} "
               f"(|diff| = {rep.abs_error:.2e})")
         return 0
-
-    if args.command == "verify-corpus":
-        records = load_corpus(args.corpus)
-        report = verify_corpus(records, tol=args.tol)
-        if args.format == "json":
-            print(report.to_json())
-        else:
-            print(report.to_text())
-        return report.exit_status
 
     raise DomainError(f"unknown command {args.command!r}")
 

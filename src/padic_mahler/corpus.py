@@ -189,13 +189,6 @@ class VerificationReport:
     def exit_status(self) -> int:
         return 1 if self.failed_paper_claims else 0
 
-    def find(self, record: str, kind: str, **params):
-        out = []
-        for r in self.results:
-            if r.record == record and r.kind == kind:
-                out.append(r)
-        return out
-
     def to_dict(self, include_timing: bool = True):
         rows = []
         for r in self.results:
@@ -337,8 +330,7 @@ def _check_claim(record: LinkRecord, claim: Claim, tol: float):
     if kind == "growth_p_band":
         p = params["p"]
         rep = resultant_limit_estimate(poly, p, params["n_max"])
-        coprime = [(n, est) for n, est, cop in rep.samples if cop]
-        n_last, est_last = coprime[-1]
+        n_last, est_last = rep.estimates(coprime_only=True)[-1]
         ok = abs(est_last - rep.closed_form) <= params["abs_tol"]
         return ok, (f"restricted estimate at n={n_last} is {est_last:.6f}, "
                     f"closed form {rep.closed_form:.6f}")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError, ZeroPolynomialError
+from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .iwasawa import mu_invariant
 from .mahler import LogMeasure, mahler_euclidean
 from .ntheory import check_prime, trial_factor, vp_int
@@ -40,7 +40,8 @@ def entropy_padic(A: LaurentPolynomial, p: int) -> LogMeasure:
     # equivalently the total rise of the positive polygon slopes
     polygon = NewtonPolygon.of(A, p)
     rise = sum(slope * length for slope, length in polygon.segments if slope > 0)
-    assert coeff == rise, "Gauss-norm and polygon entropies disagree"
+    if coeff != rise:
+        raise ConvergenceError("Gauss-norm and polygon entropies disagree")
     return LogMeasure.finite(p, coeff)
 
 
@@ -122,7 +123,9 @@ def entropy_total(A: LaurentPolynomial, tol: float = 1e-9,
     h_p = {}
     for p, exponent in sorted(s_factors.items()):
         coeff = entropy_padic(A, p).coefficient
-        assert coeff == exponent, "finite entropy must equal v_p(a_0/content)"
+        if coeff != exponent:
+            raise ConvergenceError(
+                "finite entropy must equal v_p(a_0/content)")
         h_p[p] = coeff
     m_prim = mahler_euclidean(primitive, tol=tol / 2)
     finite_sum = sum(float(c) * math.log(p) for p, c in h_p.items())
@@ -186,6 +189,8 @@ def leading_coeff_identity(A: LaurentPolynomial,
     for p, exponent in sorted(factors.items()):
         h = entropy_padic(A, p).coefficient
         mu = mu_invariant(A, p)
-        assert exponent == vp_int(a0, p)
+        if exponent != vp_int(a0, p):
+            raise ConvergenceError(
+                "trial factorization disagrees with v_p(a_0)")
         per_prime[p] = (Fraction(exponent), h, mu)
     return LeadingCoefficientIdentity(a0, per_prime)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .ntheory import INFINITY, check_prime, vp_int
 from .polynomials import LaurentPolynomial, normalize, squarefree_split
-from .resultants import cyclic_resultant
+from .resultants import cyclic_resultant_sweep
 from .roots import aberth_roots, polish_roots
 from .valuations import gauss_norm_valuation, gauss_valuation_from_polygon
 
@@ -117,8 +117,8 @@ def mahler_padic(f: LaurentPolynomial, p: int) -> LogMeasure:
         raise ZeroPolynomialError("Mahler measure of the zero polynomial")
     g = gauss_norm_valuation(f, p)
     # Newton-polygon Jensen product must reconstruct the same valuation
-    assert gauss_valuation_from_polygon(f, p) == g, \
-        "polygon convention drifted from the Gauss norm"
+    if gauss_valuation_from_polygon(f, p) != g:
+        raise ConvergenceError("polygon convention drifted from the Gauss norm")
     return LogMeasure.finite(p, Fraction(-g))
 
 
@@ -181,8 +181,8 @@ def resultant_limit_estimate(f: LaurentPolynomial, place, n_max: int = 100,
         check_prime(place)
         logp = math.log(place)
     report = ConvergenceReport(place=INFINITY if not finite else place)
-    for n in range(1, n_max + 1):
-        r = cyclic_resultant(f, n, "ones")
+    ns = range(1, n_max + 1)
+    for n, r in zip(ns, cyclic_resultant_sweep(f, ns, "ones")):
         if r == 0:
             report.skipped.append(n)
             continue

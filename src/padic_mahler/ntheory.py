@@ -70,15 +70,6 @@ def vp(x, p: int):
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
-def unit_part(n: int, p: int) -> int:
-    """n / p^vp(n) with the sign kept; n must be nonzero."""
-    if n == 0:
-        raise DomainError("0 has no unit part")
-    while n % p == 0:
-        n //= p
-    return n
-
-
 def modinv(a: int, m: int) -> int:
     return pow(a, -1, m)
 

@@ -33,7 +33,7 @@ from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .ntheory import check_prime, modinv, vp_int
 from .padics import PadicNumber, hensel_lift, padic_log, padic_log_of_int
 from .polynomials import LaurentPolynomial, normalize
-from .resultants import cyclic_resultant
+from .resultants import cyclic_resultant_sweep
 from .valuations import NewtonPolygon
 
 STABILIZATION_WINDOW = 8
@@ -70,41 +70,35 @@ def pure_measure_defined(f: LaurentPolynomial, p: int) -> bool:
     return not NewtonPolygon.of(f, p).has_zero_slope()
 
 
-def _require_defined(f, p):
+def _defined_integral(f, p, what):
+    """The normalization of f, after the checks that open every purely
+    p-adic route: f nonzero, integral, and with no root on |z|_p = 1."""
+    check_prime(p)
+    if f.is_zero:
+        raise ZeroPolynomialError(f"{what} needs a nonzero polynomial")
+    f = normalize(f)
+    if not f.is_integral:
+        raise DomainError(f"{what} requires integer coefficients")
     if not pure_measure_defined(f, p):
         raise DomainError(
             f"roots on the {p}-adic unit circle: the purely {p}-adic "
             f"measure is undefined")
+    return f
 
 
-def pure_log_mahler_estimate(f: LaurentPolynomial, p: int,
-                             n_budget: int = 120,
-                             precision: int = 40) -> PurePadicResult:
-    """(1/n) log_p R(f, t^n - 1) over n coprime to p, with p-adic
-    stabilization over the trailing window declaring the certified digits."""
-    check_prime(p)
-    if f.is_zero:
-        raise ZeroPolynomialError("estimator needs a nonzero polynomial")
-    f = normalize(f)
-    if not f.is_integral:
-        raise DomainError("estimator requires integer coefficients")
-    _require_defined(f, p)
-    estimates = []
-    used = []
-    for n in range(1, n_budget + 1):
-        if math.gcd(n, p) != 1:
-            continue
-        r = cyclic_resultant(f, n, "full")
-        if r == 0:
-            raise DomainError(
-                f"R(f, t^{n} - 1) = 0: f vanishes at an {n}-th root of unity")
-        log_r = padic_log_of_int(r, p, precision)
-        inv_n = PadicNumber(p, 0, modinv(n, p**precision), precision)
-        estimates.append(log_r * inv_n)
-        used.append(n)
-    window = estimates[-STABILIZATION_WINDOW:]
-    if len(window) < STABILIZATION_WINDOW:
+def _log_over_n(r: int, n: int, p: int, precision: int) -> PadicNumber:
+    """(1/n) log_p r for a nonzero integer r and n coprime to p."""
+    inv_n = PadicNumber(p, 0, modinv(n, p**precision), precision)
+    return padic_log_of_int(r, p, precision) * inv_n
+
+
+def _stabilized_window(estimates, used, precision):
+    """(value, certified digits, window n) read off the trailing
+    STABILIZATION_WINDOW estimates: the last estimate, truncated to the
+    digits on which the whole window agrees."""
+    if len(estimates) < STABILIZATION_WINDOW:
         raise DomainError("n_budget too small for the stabilization window")
+    window = estimates[-STABILIZATION_WINDOW:]
     last = window[-1]
     agree = min(last.agreement_valuation(w) for w in window[:-1])
     agree = min(agree, min(w.abs_precision for w in window))
@@ -113,9 +107,26 @@ def pure_log_mahler_estimate(f: LaurentPolynomial, p: int,
             "estimates did not stabilize to a single p-adic digit "
             "within the budget")
     certified = min(agree, precision - 1)
+    return last.truncate(certified), certified, used[-STABILIZATION_WINDOW:]
+
+
+def pure_log_mahler_estimate(f: LaurentPolynomial, p: int,
+                             n_budget: int = 120,
+                             precision: int = 40) -> PurePadicResult:
+    """(1/n) log_p R(f, t^n - 1) over n coprime to p, with p-adic
+    stabilization over the trailing window declaring the certified digits."""
+    f = _defined_integral(f, p, "estimator")
+    used = [n for n in range(1, n_budget + 1) if math.gcd(n, p) == 1]
+    estimates = []
+    for n, r in zip(used, cyclic_resultant_sweep(f, used, "full")):
+        if r == 0:
+            raise DomainError(
+                f"R(f, t^{n} - 1) = 0: f vanishes at an {n}-th root of unity")
+        estimates.append(_log_over_n(r, n, p, precision))
+    value, certified, window_n = _stabilized_window(estimates, used, precision)
     return PurePadicResult(
-        p, last.truncate(certified), "estimator",
-        {"n_budget": n_budget, "window_n": used[-STABILIZATION_WINDOW:],
+        p, value, "estimator",
+        {"n_budget": n_budget, "window_n": window_n,
          "certified_abs_precision": certified,
          "certificate": "heuristic stabilization of the trailing window"})
 
@@ -176,13 +187,7 @@ def pure_log_mahler_closed_form(f: LaurentPolynomial, p: int,
     """Jensen form log_p a_0 + sum_{|alpha|_p > 1} log_p alpha through
     Hensel-lifted roots in Q_p, or through the coefficient-ratio norm
     shortcut when all roots lie outside the unit disk."""
-    check_prime(p)
-    if f.is_zero:
-        raise ZeroPolynomialError("closed form needs a nonzero polynomial")
-    f = normalize(f)
-    if not f.is_integral:
-        raise DomainError("closed form requires integer coefficients")
-    _require_defined(f, p)
+    f = _defined_integral(f, p, "closed form")
     polygon = NewtonPolygon.of(f, p)
     lead = int(f.leading_coefficient)
     outside = [(slope, length) for slope, length in polygon.segments if slope > 0]
@@ -251,7 +256,8 @@ def pure_link_growth(A: LaurentPolynomial, d: int, p: int,
                      n_budget: int = 120, precision: int = 40) -> PurePadicResult:
     """p-adic limit of (1/n) log_p (|R(A, nu_n)| |H(1)| / n^(d-1)) for
     A = (t-1)^(d-1) H with H(1) != 0: equals the purely p-adic measure of
-    H, asserted against the direct estimator."""
+    H.  Both sweeps are tied n by n through the identity
+    |R(A, nu_n)| |H(1)| = |R(H, t^n - 1)| n^(d-1)."""
     check_prime(p)
     if d < 1:
         raise DomainError("component count d must be >= 1")
@@ -266,42 +272,24 @@ def pure_link_growth(A: LaurentPolynomial, d: int, p: int,
         except DomainError:
             raise DomainError(
                 f"(t-1)-multiplicity of A is smaller than d-1 = {d - 1}")
-    H = normalize(H)
     if H(1) == 0:
         raise DomainError(
             f"(t-1)-multiplicity of A exceeds d-1 = {d - 1}; H(1) = 0")
-    _require_defined(H, p)
+    H = _defined_integral(H, p, "growth")
     h1 = abs(int(H(1)))
+    used = [n for n in range(1, n_budget + 1) if math.gcd(n, p) == 1]
     estimates = []
-    used = []
-    for n in range(1, n_budget + 1):
-        if math.gcd(n, p) != 1:
-            continue
-        growth_number = abs(cyclic_resultant(A, n, "ones")) * h1
-        full = abs(cyclic_resultant(H, n, "full"))
-        assert growth_number == full * n ** (d - 1), \
-            "resultant factorization identity failed"
-        value_n = growth_number // n ** (d - 1)
-        log_v = padic_log_of_int(value_n, p, precision)
-        inv_n = PadicNumber(p, 0, modinv(n, p**precision), precision)
-        estimates.append(log_v * inv_n)
-        used.append(n)
-    window = estimates[-STABILIZATION_WINDOW:]
-    last = window[-1]
-    agree = min(last.agreement_valuation(w) for w in window[:-1])
-    agree = min(agree, min(w.abs_precision for w in window))
-    if agree < 1:
-        raise ConvergenceError("growth sequence did not stabilize")
-    certified = min(agree, precision - 1)
-    direct = pure_log_mahler_estimate(H, p, n_budget, precision)
-    cross = last.agreement_valuation(direct.value)
-    if cross < min(certified, direct.value.abs_precision):
-        raise ConvergenceError(
-            f"growth limit disagrees with the measure of the (t-1)-free "
-            f"part at digit {cross}")
+    for n, ones, full in zip(used, cyclic_resultant_sweep(A, used, "ones"),
+                             cyclic_resultant_sweep(H, used, "full")):
+        if abs(ones) * h1 != abs(full) * n ** (d - 1):
+            raise ConvergenceError("resultant factorization identity failed")
+        # the growth number |R(A, nu_n)| |H(1)| / n^(d-1) is |R(H, t^n - 1)|,
+        # so one sequence serves the growth limit and the measure of H, and
+        # the two agree to every certified digit
+        estimates.append(_log_over_n(full, n, p, precision))
+    value, certified, window_n = _stabilized_window(estimates, used, precision)
     return PurePadicResult(
-        p, last.truncate(certified), "estimator",
-        {"d": d, "H": str(H), "H_at_1": h1,
-         "window_n": used[-STABILIZATION_WINDOW:],
-         "agreement_with_measure": float(cross) if cross != math.inf else -1,
+        p, value, "estimator",
+        {"d": d, "H": str(H), "H_at_1": h1, "window_n": window_n,
+         "agreement_with_measure": float(certified),
          "certificate": "heuristic stabilization of the trailing window"})

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .ntheory import check_prime, vp_int
@@ -137,8 +138,8 @@ def _mat_mul(A, B, mod=None):
     return out
 
 
-def _identity(n, scale=1):
-    return [[scale if i == j else 0 for j in range(n)] for i in range(n)]
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _mat_add_scalar(A, s, mod=None):
@@ -201,42 +202,85 @@ def berkowitz_determinant_mod(A, mod: int) -> int:
 # -- cyclic resultants -----------------------------------------------------
 
 
+def _companion_setup(f: LaurentPolynomial):
+    """(f, B, a, d) for the normalization f of a nonzero integral input,
+    with B its scaled companion matrix (None for a constant, d = 0)."""
+    if f.is_zero:
+        raise ZeroPolynomialError("cyclic resultant of the zero polynomial")
+    f = normalize(f)
+    if not f.is_integral:
+        raise DomainError("cyclic resultants require integer coefficients")
+    if f.degree == 0:
+        return f, None, int(f.leading_coefficient), 0
+    return (f, *_scaled_companion(f))
+
+
+def _cyclic_from_powers(P, H, a, n, d, variant):
+    """R(f, t^n - 1) = det(B^n - a^n I) / a^(n(d-1)) from P = B^n, or
+    R(f, nu_n) = det(H_n) / a^((n-1)(d-1)); both divisions are exact."""
+    if variant == "full":
+        det = bareiss_determinant(_mat_add_scalar(P, -a**n))
+        denom = a ** (n * (d - 1))
+    else:
+        det = bareiss_determinant(H)
+        denom = a ** ((n - 1) * (d - 1))
+    if det % denom:
+        raise ConvergenceError("companion scaling must divide exactly")
+    return det // denom
+
+
 def cyclic_resultant(f: LaurentPolynomial, n: int, variant: str = "ones") -> int:
     """Signed exact R(f, t^n - 1) (variant="full") or R(f, nu) with
     nu = 1 + t + ... + t^(n-1) (variant="ones").
 
     f must be nonzero with integer coefficients; it is normalized first.
     Computed as a^n det(C^n - I) resp. a^(n-1) det(nu(C)) over the scaled
-    integer companion matrix, with binary exponentiation.  "nu" is accepted
-    as an alias for "ones".
+    integer companion matrix, with binary exponentiation: the route for
+    one isolated n (cyclic_resultant_sweep serves dense runs of n).
     """
-    if variant == "nu":
-        variant = "ones"
     if variant not in ("ones", "full"):
         raise DomainError(f"unknown cyclic resultant variant {variant!r}")
     if n < 1:
         raise DomainError("need n >= 1")
-    if f.is_zero:
-        raise ZeroPolynomialError("cyclic resultant of the zero polynomial")
-    f = normalize(f)
-    if not f.is_integral:
-        raise DomainError("cyclic resultants require integer coefficients")
-    d = f.degree
-    a = int(f.leading_coefficient)
+    _, B, a, d = _companion_setup(f)
     if d == 0:
         return a**n if variant == "full" else a ** (n - 1)
-    B, a, d = _scaled_companion(f)
-    if variant == "full":
-        P, _, an = _power_and_ones_sum(B, a, n)
-        M = _mat_add_scalar(P, -an)
-        det = bareiss_determinant(M)
-        denom = a ** (n * (d - 1))
-    else:
-        _, H, _ = _power_and_ones_sum(B, a, n)
-        det = bareiss_determinant(H)
-        denom = a ** ((n - 1) * (d - 1))
-    assert det % denom == 0, "companion scaling must divide exactly"
-    return det // denom
+    P, H, _ = _power_and_ones_sum(B, a, n)
+    return _cyclic_from_powers(P, H, a, n, d, variant)
+
+
+def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
+    """Yield cyclic_resultant(f, n, variant) for each n of the strictly
+    increasing iterable ``ns`` of positive integers.
+
+    One pass up B^(k+1) = B^k B and H_(k+1) = a H_k + B^k, H_1 = I, over the
+    scaled companion matrix B: a step costs O(d^2) because B is sparse, and
+    a determinant is taken only at the requested n.  This is the route for
+    dense runs of n; isolated n are cheaper by cyclic_resultant.
+    """
+    if variant not in ("ones", "full"):
+        raise DomainError(f"unknown cyclic resultant variant {variant!r}")
+    _, B, a, d = _companion_setup(f)
+    if d:
+        column = [row[-1] for row in B]
+        P, H, k = B, _identity(d), 1     # B^k, H_k
+    last = 0
+    for n in ns:
+        if n <= last:
+            raise DomainError("sweep needs strictly increasing positive n")
+        last = n
+        if d == 0:
+            yield a**n if variant == "full" else a ** (n - 1)
+            continue
+        while k < n:
+            if variant == "ones":
+                H = [[a * h + x for h, x in zip(hrow, prow)]
+                     for hrow, prow in zip(H, P)]
+            # P B: B has a on its subdiagonal and ``column`` last
+            P = [[a * x for x in row[1:]] + [sum(map(mul, row, column))]
+                 for row in P]
+            k += 1
+        yield _cyclic_from_powers(P, H, a, n, d, variant)
 
 
 def cyclic_resultant_sylvester(f: LaurentPolynomial, n: int,
@@ -244,7 +288,9 @@ def cyclic_resultant_sylvester(f: LaurentPolynomial, n: int,
     """Sylvester-matrix oracle for cyclic_resultant (slow, independent)."""
     g = power_minus_one(n) if variant == "full" else all_ones_polynomial(n)
     value = resultant(f, g)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ConvergenceError(
+            "resultant of integral polynomials must be an integer")
     return int(value)
 
 
@@ -260,21 +306,13 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, n: int, p: int,
     callers guarantee by excluding n-th roots of unity among the roots).
     """
     check_prime(p)
-    if f.is_zero:
-        raise ZeroPolynomialError("cyclic resultant of the zero polynomial")
-    f = normalize(f)
-    if not f.is_integral:
-        raise DomainError("cyclic resultants require integer coefficients")
-    d = f.degree
-    a = int(f.leading_coefficient)
+    f, B, a, d = _companion_setup(f)
     if d == 0:
         return (n - 1) * vp_int(a, p)
     if gauss_bound is None:
         gauss_bound = min(vp_int(int(c), p) for c in f.terms.values())
-    va = vp_int(a, p)
-    shift = (n - 1) * (d - 1) * va
+    shift = (n - 1) * (d - 1) * vp_int(a, p)
     K = shift + n * gauss_bound + (d + 2) * (n.bit_length() + 8) + 32
-    B, a, d = _scaled_companion(f)
     for _ in range(8):
         mod = p**K
         _, H, _ = _power_and_ones_sum(B, a, n, mod)

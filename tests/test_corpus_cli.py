@@ -133,8 +133,8 @@ class TestCli:
         assert "-1 * log 2" in capsys.readouterr().out
 
     def test_padic_mahler(self, capsys):
-        assert main(["padic-mahler", "--poly", "4*t^4-8*t^2+4",
-                     "--prime", "2"]) == 0
+        assert main(["mahler", "--poly", "4*t^4-8*t^2+4",
+                     "--place", "2"]) == 0
         assert "-2 * log 2" in capsys.readouterr().out
 
     def test_iwasawa(self, capsys):
@@ -187,3 +187,17 @@ class TestCli:
 
     def test_missing_poly_exit_code(self, capsys):
         assert main(["mahler", "--place", "inf"]) == 4
+
+    def test_pure_growth_small_budget_exit_code(self, capsys):
+        assert main(["growth", "--poly", "(t-1)*(2*t-3)", "--place", "3",
+                     "--pure", "--components", "2", "--nmax", "1"]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["mahler", "--poly", "t-2", "--place", "foo"],
+        ["growth", "--delta", "2-x-y+2*x*y", "--subs", "1,a"],
+    ])
+    def test_malformed_option_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

@@ -9,7 +9,12 @@ from padic_mahler.ntheory import vp
 from padic_mahler.padics import PadicNumber, padic_log, teichmuller
 from padic_mahler.parsing import parse_polynomial
 from padic_mahler.polynomials import LaurentPolynomial, normalize
-from padic_mahler.resultants import cyclic_resultant, cyclic_resultant_sylvester, resultant
+from padic_mahler.resultants import (
+    cyclic_resultant,
+    cyclic_resultant_sweep,
+    cyclic_resultant_sylvester,
+    resultant,
+)
 from padic_mahler.valuations import (
     gauss_norm_valuation,
     gauss_valuation_from_polygon,
@@ -76,6 +81,16 @@ def test_resultant_swap_sign(f, g):
 def test_cyclic_resultant_against_oracle(f, n):
     assert cyclic_resultant(f, n, "ones") == \
         cyclic_resultant_sylvester(f, n, "ones")
+
+
+@settings(max_examples=30)
+@given(laurent_polynomials(max_deg=5, height=9),
+       st.sets(st.integers(1, 40), max_size=12),
+       st.sampled_from(["ones", "full"]))
+def test_cyclic_resultant_sweep_matches_binary_powering(f, ns, variant):
+    ns = sorted(ns)
+    assert list(cyclic_resultant_sweep(f, ns, variant)) == \
+        [cyclic_resultant(f, n, variant) for n in ns]
 
 
 @given(st.fractions(), st.fractions(), primes)

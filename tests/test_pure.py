@@ -173,3 +173,12 @@ class TestLinkGrowth:
             pure_link_growth(P("2*t - 2"), 3, 5)
         with pytest.raises(DomainError):
             pure_link_growth(P("(t-1)^2"), 2, 5)
+
+
+@pytest.mark.parametrize("n_budget", [0, 1, 4])
+def test_small_budget_is_a_domain_error(n_budget):
+    # fewer coprime n than the stabilization window holds
+    with pytest.raises(DomainError):
+        pure_log_mahler_estimate(P("2*t - 3"), 3, n_budget=n_budget)
+    with pytest.raises(DomainError):
+        pure_link_growth(P("(t-1)*(2*t-3)"), 2, 3, n_budget=n_budget)

@@ -10,6 +10,7 @@ from padic_mahler.polynomials import LaurentPolynomial, normalize
 from padic_mahler.resultants import (
     bareiss_determinant,
     cyclic_resultant,
+    cyclic_resultant_sweep,
     cyclic_resultant_sylvester,
     cyclic_resultant_valuation,
     resultant,
@@ -145,13 +146,35 @@ class TestCyclicResultant:
         with pytest.raises(ZeroPolynomialError):
             cyclic_resultant(LaurentPolynomial.zero(), 3)
 
-    def test_nu_alias(self):
-        f = parse_laurent("t^2 - 3*t + 1")
-        assert cyclic_resultant(f, 2, "nu") == cyclic_resultant(f, 2, "ones")
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(DomainError):
             cyclic_resultant(parse_laurent("t - 2"), 3, "nu_variant")
+
+
+class TestSweep:
+    NS = [1, 2, 3, 5, 8, 9, 13, 21, 22, 34]
+
+    @pytest.mark.parametrize("text", [
+        "7",                                # constant: a^n resp. a^(n-1)
+        "2*t - 2",                          # p | lead
+        "t^2 + 1",                          # root of unity: R = 0 at n = 8
+        "3*t^5 - 2*t^4 + 7*t^2 - t + 6",    # non-monic, d >= 4
+    ])
+    def test_matches_binary_powering(self, text):
+        f = parse_laurent(text)
+        for variant in ("ones", "full"):
+            assert list(cyclic_resultant_sweep(f, self.NS, variant)) == \
+                [cyclic_resultant(f, n, variant) for n in self.NS]
+
+    @pytest.mark.parametrize("ns", [[0, 1], [-2], [3, 3], [2, 5, 4]])
+    def test_rejects_bad_n_sequence(self, ns):
+        for text in ("t^2 - 3*t + 1", "5"):
+            with pytest.raises(DomainError):
+                list(cyclic_resultant_sweep(parse_laurent(text), ns))
+
+    def test_rejects_unknown_variant(self):
+        with pytest.raises(DomainError):
+            list(cyclic_resultant_sweep(parse_laurent("t - 2"), [1], "nu"))
 
 
 class TestValuationPath:
