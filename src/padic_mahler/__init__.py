@@ -52,7 +52,6 @@ from .polynomials import (
     all_ones_polynomial,
     content_and_primitive,
     normalize,
-    substitute_onevar,
 )
 from .pure import (
     PurePadicResult,
@@ -71,8 +70,6 @@ from .resultants import (
 from .valuations import (
     NewtonPolygon,
     gauss_norm_valuation,
-    newton_polygon,
-    root_valuations,
 )
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .iwasawa import fit_invariants, lambda_invariant, mu_invariant
 from .mahler import mahler_euclidean, mahler_padic, resultant_limit_estimate
 from .ntheory import INFINITY
 from .parsing import parse_laurent, parse_polynomial
-from .polynomials import MultivariatePolynomial, substitute_onevar
+from .polynomials import MultivariatePolynomial
 from .pure import pure_entropy, pure_log_mahler_closed_form, \
     pure_log_mahler_estimate, pure_link_growth
 
@@ -52,7 +52,7 @@ def _resolve_poly(args):
     if isinstance(delta, MultivariatePolynomial):
         if args.subs is None:
             raise DomainError("--delta needs --subs exponents")
-        return substitute_onevar(delta, args.subs)
+        return delta.substitute(args.subs)
     return delta
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .entropy import balance_check, entropy_total
-from .errors import DomainError, PadicMahlerError, ZeroPolynomialError
-from .iwasawa import fit_invariants, lambda_invariant, mu_invariant
+from .errors import DomainError, PadicMahlerError
+from .iwasawa import mu_invariant, verify_consistency
 from .mahler import mahler_euclidean, mahler_padic, resultant_limit_estimate
 from .ntheory import INFINITY, vp_int
 from .parsing import parse_laurent, parse_polynomial
@@ -29,6 +29,7 @@ from .polynomials import (
     LaurentPolynomial,
     MultivariatePolynomial,
     normalize,
+    power_minus_one,
 )
 from .pure import (
     pure_entropy,
@@ -48,10 +49,6 @@ def branched_cover_homology_order(A: LaurentPolynomial, n: int,
     up to a bounded factor for links with >= 2 components.
 
     Returns (order, caveat_flag)."""
-    if A.is_zero:
-        raise ZeroPolynomialError("homology order needs a nonzero polynomial")
-    if n < 1:
-        raise DomainError("cover degree n must be >= 1")
     order = abs(cyclic_resultant(A, n, "ones"))
     return order, components >= 2
 
@@ -108,12 +105,47 @@ class LinkRecord:
         reduced = self.reduced_polynomial(label)
         if self.components == 1:
             return reduced
-        t_minus_1 = LaurentPolynomial({1: 1, 0: -1}, "t")
-        return reduced * t_minus_1
+        return reduced * power_minus_one(1)
+
+
+def _parse_record(entry) -> LinkRecord:
+    try:
+        delta = parse_polynomial(entry["delta"])
+    except PadicMahlerError as exc:
+        raise DomainError(
+            f"record {entry.get('name')}: delta does not parse: {exc}")
+    subs = [Substitution(s["label"], tuple(s["exponents"]))
+            for s in entry["substitutions"]]
+    arity = delta.arity if isinstance(delta, MultivariatePolynomial) else 1
+    for s in subs:
+        if len(s.exponents) != arity:
+            raise DomainError(
+                f"record {entry['name']}: substitution {s.label} arity "
+                f"{len(s.exponents)} != {arity}")
+    claims = []
+    for c in entry.get("claims", []):
+        params = {k: v for k, v in c.items()
+                  if k not in ("kind", "label", "provenance", "skip",
+                               "use_alexander")}
+        claims.append(Claim(c["kind"], c.get("label"), c["provenance"],
+                            params, c.get("skip"),
+                            c.get("use_alexander", False)))
+    return LinkRecord(
+        name=entry["name"],
+        components=entry["components"],
+        cover=entry.get("cover", "TLN"),
+        delta_text=entry["delta"],
+        substitutions=subs,
+        reduced_overrides=dict(entry.get("reduced_overrides", {})),
+        annotations=list(entry.get("annotations", [])),
+        claims=claims,
+        delta=delta,
+    )
 
 
 def load_corpus(path=None):
-    """Load LinkRecords from ``path`` or from the packaged corpus."""
+    """Load LinkRecords from ``path`` or from the packaged corpus; a record
+    with a missing key or a value of the wrong type is a DomainError."""
     if path is None:
         source = importlib.resources.files("padic_mahler").joinpath(
             "data/corpus.json")
@@ -126,39 +158,14 @@ def load_corpus(path=None):
             f"corpus schema_version {raw.get('schema_version')!r} is not "
             f"{SCHEMA_VERSION}")
     records = []
-    for entry in raw["records"]:
+    for index, entry in enumerate(raw["records"]):
         try:
-            delta = parse_polynomial(entry["delta"])
-        except PadicMahlerError as exc:
+            records.append(_parse_record(entry))
+        except (KeyError, TypeError, AttributeError) as exc:
+            name = entry.get("name") if isinstance(entry, dict) else None
             raise DomainError(
-                f"record {entry.get('name')}: delta does not parse: {exc}")
-        subs = [Substitution(s["label"], tuple(s["exponents"]))
-                for s in entry["substitutions"]]
-        arity = delta.arity if isinstance(delta, MultivariatePolynomial) else 1
-        for s in subs:
-            if len(s.exponents) != arity:
-                raise DomainError(
-                    f"record {entry['name']}: substitution {s.label} arity "
-                    f"{len(s.exponents)} != {arity}")
-        claims = []
-        for c in entry.get("claims", []):
-            params = {k: v for k, v in c.items()
-                      if k not in ("kind", "label", "provenance", "skip",
-                                   "use_alexander")}
-            claims.append(Claim(c["kind"], c.get("label"), c["provenance"],
-                                params, c.get("skip"),
-                                c.get("use_alexander", False)))
-        records.append(LinkRecord(
-            name=entry["name"],
-            components=entry["components"],
-            cover=entry.get("cover", "TLN"),
-            delta_text=entry["delta"],
-            substitutions=subs,
-            reduced_overrides=dict(entry.get("reduced_overrides", {})),
-            annotations=list(entry.get("annotations", [])),
-            claims=claims,
-            delta=delta,
-        ))
+                f"record {name or index}: malformed entry "
+                f"({type(exc).__name__}: {exc})") from exc
     return records
 
 
@@ -295,18 +302,16 @@ def _check_claim(record: LinkRecord, claim: Claim, tol: float):
             f"expected {expected}"
 
     if kind == "iwasawa":
-        inv = fit_invariants(poly, params["p"], params.get("r_max", 6))
-        lam = lambda_invariant(poly, params["p"])
-        mu = mu_invariant(poly, params["p"])
-        ok = (inv.lam == params["lambda"] == lam
-              and inv.mu == params["mu"] == mu)
+        rep = verify_consistency(poly, params["p"], params.get("r_max", 6))
+        inv = rep.fitted
+        ok = inv.lam == params["lambda"] and inv.mu == params["mu"]
         if "nu" in params:
             ok = ok and inv.nu == params["nu"]
         if "r0" in params:
             ok = ok and inv.r0 == params["r0"]
         return ok, (f"fitted (lambda, mu, nu, r0) = "
                     f"({inv.lam}, {inv.mu}, {inv.nu}, {inv.r0}), analytic "
-                    f"({lam}, {mu})")
+                    f"({rep.analytic_lambda}, {rep.analytic_mu})")
 
     if kind == "homology":
         order, caveat = branched_cover_homology_order(
@@ -391,6 +396,8 @@ def verify_corpus(records, tol: float = 1e-9) -> VerificationReport:
                 status = "pass" if ok else "fail"
             except PadicMahlerError as exc:
                 status, detail = "fail", f"error: {exc}"
+            except Exception as exc:     # one bad claim must not stop the run
+                status, detail = "fail", f"error: {type(exc).__name__}: {exc}"
             report.results.append(ClaimResult(
                 record.name, claim.kind, claim.label, claim.provenance,
                 status, detail, (time.perf_counter() - start) * 1e3))

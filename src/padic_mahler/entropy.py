@@ -17,32 +17,23 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConvergenceError, DomainError, ZeroPolynomialError
+from .errors import ConvergenceError, DomainError
 from .iwasawa import mu_invariant
-from .mahler import LogMeasure, mahler_euclidean
+from .mahler import LogMeasure, mahler_euclidean, mahler_padic
 from .ntheory import check_prime, trial_factor, vp_int
 from .polynomials import LaurentPolynomial, content_and_primitive, normalize
-from .valuations import NewtonPolygon, gauss_norm_valuation
 
 
 def entropy_padic(A: LaurentPolynomial, p: int) -> LogMeasure:
     """h_p = (v_p(a_0) - min_i v_p(a_i)) log p, the log measure of the
-    monic normalization A/a_0 at p."""
+    monic normalization A/a_0 at p: v_p(a_0) plus the p-adic log measure
+    of A, whose Gauss norm mahler_padic checks against the polygon."""
     check_prime(p)
-    if A.is_zero:
-        raise ZeroPolynomialError("entropy of the zero polynomial")
     A = normalize(A)
-    lead_val = vp_int(int(A.leading_coefficient), p) if A.is_integral \
-        else None
-    if lead_val is None:
+    if not A.is_integral:
         raise DomainError("p-adic entropy requires integer coefficients")
-    coeff = Fraction(lead_val - gauss_norm_valuation(A, p))
-    # equivalently the total rise of the positive polygon slopes
-    polygon = NewtonPolygon.of(A, p)
-    rise = sum(slope * length for slope, length in polygon.segments if slope > 0)
-    if coeff != rise:
-        raise ConvergenceError("Gauss-norm and polygon entropies disagree")
-    return LogMeasure.finite(p, coeff)
+    lead_val = vp_int(int(A.leading_coefficient), p)
+    return LogMeasure.finite(p, lead_val + mahler_padic(A, p).coefficient)
 
 
 @dataclass
@@ -68,8 +59,7 @@ class BalanceIdentity:
 
 
 def balance_check(A: LaurentPolynomial, p: int) -> BalanceIdentity:
-    if A.is_zero:
-        raise ZeroPolynomialError("balance identity of the zero polynomial")
+    """The one home of the triple (v_p(a_0), h_p, mu_p)."""
     A = normalize(A)
     lead_val = Fraction(vp_int(int(A.leading_coefficient), p))
     h_coeff = entropy_padic(A, p).coefficient
@@ -107,8 +97,6 @@ def entropy_total(A: LaurentPolynomial, tol: float = 1e-9,
                   factor_bound: int = 10**9) -> EntropyReport:
     """Full entropy decomposition h = h_inf + sum_p h_p with the
     reconciliation h = log m(primitive part) checked within tol."""
-    if A.is_zero:
-        raise ZeroPolynomialError("entropy of the zero polynomial")
     A = normalize(A)
     if not A.is_integral:
         raise DomainError("entropy requires integer coefficients")
@@ -120,25 +108,24 @@ def entropy_total(A: LaurentPolynomial, tol: float = 1e-9,
         raise DomainError(
             f"leading coefficient factor {leftover} exceeds the trial "
             f"division bound {factor_bound}")
-    h_p = {}
-    for p, exponent in sorted(s_factors.items()):
-        coeff = entropy_padic(A, p).coefficient
-        if coeff != exponent:
-            raise ConvergenceError(
-                "finite entropy must equal v_p(a_0/content)")
-        h_p[p] = coeff
-    m_prim = mahler_euclidean(primitive, tol=tol / 2)
-    finite_sum = sum(float(c) * math.log(p) for p, c in h_p.items())
-    h_inf = LogMeasure.infinite(m_prim.value - math.log(s), m_prim.error)
-    h_total = h_inf.value + finite_sum
-    if abs(h_total - m_prim.value) > 2 * tol:
-        raise DomainError("entropy reconciliation failed beyond tolerance")
     content_factors, _ = trial_factor(content, factor_bound)
     balance = {p: balance_check(A, p) for p in
                sorted(set(s_factors) | set(content_factors))}
     for b in balance.values():
         if not b.holds:
             raise DomainError(f"balance identity failed at p = {b.p}")
+    h_p = {}
+    for p, exponent in sorted(s_factors.items()):
+        h_p[p] = balance[p].entropy_coefficient
+        if h_p[p] != exponent:
+            raise ConvergenceError(
+                "finite entropy must equal v_p(a_0/content)")
+    m_prim = mahler_euclidean(primitive, tol=tol / 2)
+    finite_sum = sum(float(c) * math.log(p) for p, c in h_p.items())
+    h_inf = LogMeasure.infinite(m_prim.value - math.log(s), m_prim.error)
+    h_total = h_inf.value + finite_sum
+    if abs(h_total - m_prim.value) > 2 * tol:
+        raise DomainError("entropy reconciliation failed beyond tolerance")
     return EntropyReport(
         polynomial=str(A),
         leading_coefficient=a0,
@@ -174,8 +161,6 @@ class LeadingCoefficientIdentity:
 
 def leading_coeff_identity(A: LaurentPolynomial,
                            factor_bound: int = 10**9) -> LeadingCoefficientIdentity:
-    if A.is_zero:
-        raise ZeroPolynomialError("identity needs a nonzero polynomial")
     A = normalize(A)
     if not A.is_integral:
         raise DomainError("identity requires integer coefficients")
@@ -186,11 +171,7 @@ def leading_coeff_identity(A: LaurentPolynomial,
             f"leading coefficient factor {leftover} exceeds the trial "
             f"division bound {factor_bound}")
     per_prime = {}
-    for p, exponent in sorted(factors.items()):
-        h = entropy_padic(A, p).coefficient
-        mu = mu_invariant(A, p)
-        if exponent != vp_int(a0, p):
-            raise ConvergenceError(
-                "trial factorization disagrees with v_p(a_0)")
-        per_prime[p] = (Fraction(exponent), h, mu)
+    for p in sorted(factors):
+        b = balance_check(A, p)
+        per_prime[p] = (b.lead_valuation, b.entropy_coefficient, b.mu)
     return LeadingCoefficientIdentity(a0, per_prime)

@@ -80,7 +80,7 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     """Euclidean log Mahler measure, certified to absolute error <= tol."""
     if f.is_zero:
         raise ZeroPolynomialError("Mahler measure of the zero polynomial")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tolerance must be positive")
     f = normalize(f)
     value = 0.0

@@ -49,6 +49,8 @@ class PadicNumber:
     @classmethod
     def from_int(cls, x: int, p: int, N: int) -> "PadicNumber":
         check_prime(p)
+        if N < 1:
+            raise PrecisionError("precision must be at least 1 digit")
         if x == 0:
             return cls.zero(p)
         v = vp_int(x, p)
@@ -57,6 +59,8 @@ class PadicNumber:
     @classmethod
     def from_fraction(cls, x, p: int, N: int) -> "PadicNumber":
         x = Fraction(x)
+        if N < 1:
+            raise PrecisionError("precision must be at least 1 digit")
         if x == 0:
             return cls.zero(p)
         check_prime(p)

@@ -406,13 +406,6 @@ def content_and_primitive(f: LaurentPolynomial):
     return content, primitive
 
 
-def substitute_onevar(poly: MultivariatePolynomial, exponents,
-                      target: str = "t") -> LaurentPolynomial:
-    """Collapse a multivariable polynomial to one variable,
-    sending variable i to target**exponents[i]."""
-    return poly.substitute(exponents, target)
-
-
 def all_ones_polynomial(n: int, variable: str = "t") -> LaurentPolynomial:
     """1 + t + ... + t^(n-1), the quotient (t^n - 1)/(t - 1); n >= 1."""
     if n < 1:

@@ -29,10 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConvergenceError, DomainError, ZeroPolynomialError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    PrecisionError,
+    ZeroPolynomialError,
+)
 from .ntheory import check_prime, modinv, vp_int
 from .padics import PadicNumber, hensel_lift, padic_log, padic_log_of_int
-from .polynomials import LaurentPolynomial, normalize
+from .polynomials import LaurentPolynomial, normalize, power_minus_one
 from .resultants import cyclic_resultant_sweep
 from .valuations import NewtonPolygon
 
@@ -74,8 +79,6 @@ def _defined_integral(f, p, what):
     """The normalization of f, after the checks that open every purely
     p-adic route: f nonzero, integral, and with no root on |z|_p = 1."""
     check_prime(p)
-    if f.is_zero:
-        raise ZeroPolynomialError(f"{what} needs a nonzero polynomial")
     f = normalize(f)
     if not f.is_integral:
         raise DomainError(f"{what} requires integer coefficients")
@@ -88,6 +91,8 @@ def _defined_integral(f, p, what):
 
 def _log_over_n(r: int, n: int, p: int, precision: int) -> PadicNumber:
     """(1/n) log_p r for a nonzero integer r and n coprime to p."""
+    if precision < 1:
+        raise PrecisionError("precision must be at least 1 digit")
     inv_n = PadicNumber(p, 0, modinv(n, p**precision), precision)
     return padic_log_of_int(r, p, precision) * inv_n
 
@@ -261,11 +266,9 @@ def pure_link_growth(A: LaurentPolynomial, d: int, p: int,
     check_prime(p)
     if d < 1:
         raise DomainError("component count d must be >= 1")
-    if A.is_zero:
-        raise ZeroPolynomialError("growth of the zero polynomial")
     A = normalize(A)
     H = A
-    t_minus_1 = LaurentPolynomial({1: 1, 0: -1}, A.variable)
+    t_minus_1 = power_minus_one(1, A.variable)
     for _ in range(d - 1):
         try:
             H = H.divide_exact(t_minus_1)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import ConvergenceError, DomainError, ZeroPolynomialError
+from .errors import ConvergenceError, DomainError
 from .ntheory import check_prime, vp_int
 from .polynomials import (
     LaurentPolynomial,
@@ -205,8 +205,6 @@ def berkowitz_determinant_mod(A, mod: int) -> int:
 def _companion_setup(f: LaurentPolynomial):
     """(f, B, a, d) for the normalization f of a nonzero integral input,
     with B its scaled companion matrix (None for a constant, d = 0)."""
-    if f.is_zero:
-        raise ZeroPolynomialError("cyclic resultant of the zero polynomial")
     f = normalize(f)
     if not f.is_integral:
         raise DomainError("cyclic resultants require integer coefficients")
@@ -306,6 +304,8 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, n: int, p: int,
     callers guarantee by excluding n-th roots of unity among the roots).
     """
     check_prime(p)
+    if n < 1:
+        raise DomainError("need n >= 1")
     f, B, a, d = _companion_setup(f)
     if d == 0:
         return (n - 1) * vp_int(a, p)

@@ -38,8 +38,6 @@ class NewtonPolygon:
     @classmethod
     def of(cls, f: LaurentPolynomial, p: int) -> "NewtonPolygon":
         check_prime(p)
-        if f.is_zero:
-            raise ZeroPolynomialError("Newton polygon of the zero polynomial")
         f = normalize(f)
         points = sorted((e, vp(c, p)) for e, c in f.terms.items())
         hull = []
@@ -68,14 +66,6 @@ class NewtonPolygon:
 
     def has_zero_slope(self) -> bool:
         return any(slope == 0 for slope, _ in self.segments)
-
-
-def newton_polygon(f: LaurentPolynomial, p: int) -> NewtonPolygon:
-    return NewtonPolygon.of(f, p)
-
-
-def root_valuations(f: LaurentPolynomial, p: int):
-    return NewtonPolygon.of(f, p).root_valuations()
 
 
 def gauss_valuation_from_polygon(f: LaurentPolynomial, p: int) -> Fraction:

@@ -122,6 +122,49 @@ class TestCorpus:
         report = verify_corpus(load_corpus(wrong))
         assert report.failed and report.exit_status == 0
 
+    def test_claim_missing_parameter_is_a_fail_row(self, tmp_path, capsys):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "records": [{
+                "name": "bogus", "components": 1, "delta": "2*t - 2",
+                "substitutions": [{"label": "(t)", "exponents": [1]}],
+                "claims": [{"kind": "mu", "label": "(t)",
+                            "provenance": "PAPER", "value": 1},
+                           {"kind": "mu", "label": "(t)",
+                            "provenance": "PAPER", "p": 2, "value": 1}]}]}))
+        assert main(["--format", "json", "verify-corpus",
+                     "--corpus", str(path)]) == 1
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert [r["status"] for r in rows] == ["fail", "pass"]
+        assert rows[0]["detail"] == "error: KeyError: 'p'"
+
+    def test_record_missing_key_is_a_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "records": [{"name": "nodelta", "components": 1,
+                         "substitutions": [], "claims": []}]}))
+        assert main(["verify-corpus", "--corpus", str(path)]) == 4
+        assert "nodelta" in capsys.readouterr().err
+
+    def test_iwasawa_claim_runs_consistency_check(self, tmp_path):
+        # 4(t-1)^2 has a multiple zero at t = 1, which verify_consistency
+        # refuses: the homology model does not cover it
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "records": [{
+                "name": "double", "components": 1,
+                "delta": "4*t^2 - 8*t + 4",
+                "substitutions": [{"label": "(t)", "exponents": [1]}],
+                "claims": [{"kind": "iwasawa", "label": "(t)",
+                            "provenance": "PAPER", "p": 2, "lambda": 2,
+                            "mu": 2}]}]}))
+        [row] = verify_corpus(load_corpus(path)).results
+        assert row.status == "fail"
+        assert row.detail.startswith("error:")
+
 
 class TestCli:
     def test_mahler_inf(self, capsys):
@@ -187,6 +230,14 @@ class TestCli:
 
     def test_missing_poly_exit_code(self, capsys):
         assert main(["mahler", "--place", "inf"]) == 4
+
+    def test_nonpositive_precision_exit_code(self, capsys):
+        assert main(["hbar", "--poly", "2*t^2-5*t+2", "--prime", "2",
+                     "--solenoid", "--precision", "-2"]) == 5
+
+    @pytest.mark.parametrize("command", ["mahler", "entropy"])
+    def test_nan_tolerance_exit_code(self, capsys, command):
+        assert main([command, "--poly", "t^2-3*t+1", "--tol", "nan"]) == 4
 
     def test_pure_growth_small_budget_exit_code(self, capsys):
         assert main(["growth", "--poly", "(t-1)*(2*t-3)", "--place", "3",

@@ -93,6 +93,11 @@ class TestEuclidean:
         with pytest.raises(ZeroPolynomialError):
             mahler_euclidean(LaurentPolynomial.zero())
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        with pytest.raises(DomainError):
+            mahler_euclidean(P("t^2 - 3*t + 1"), tol)
+
 
 class TestPadic:
     def test_solomon(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_mahler.errors import DomainError, HenselError
+from padic_mahler.errors import DomainError, HenselError, PrecisionError
 from padic_mahler.ntheory import vp_int
 from padic_mahler.padics import (
     PadicNumber,
@@ -52,6 +52,14 @@ class TestArithmetic:
         x = PadicNumber.from_fraction(Fraction(9, 2), 3, 4)
         assert x.v == 2
         assert x.unit * 2 % 3**4 == 1    # the unit is 1/2 mod 3^4
+
+    @pytest.mark.parametrize("N", [0, -2])
+    def test_nonpositive_precision_rejected(self, N):
+        for x in (3, 0):
+            with pytest.raises(PrecisionError):
+                PadicNumber.from_int(x, 2, N)
+            with pytest.raises(PrecisionError):
+                PadicNumber.from_fraction(Fraction(x, 5), 2, N)
 
     def test_negative_valuation_sum(self):
         # 1/2 + 1/2 = 1

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_mahler.entropy import entropy_padic
 from padic_mahler.iwasawa import mu_invariant
 from padic_mahler.mahler import mahler_padic
 from padic_mahler.ntheory import vp
@@ -16,9 +17,9 @@ from padic_mahler.resultants import (
     resultant,
 )
 from padic_mahler.valuations import (
+    NewtonPolygon,
     gauss_norm_valuation,
     gauss_valuation_from_polygon,
-    newton_polygon,
 )
 
 primes = st.sampled_from([2, 3, 5, 7, 11, 13])
@@ -52,12 +53,21 @@ def test_unit_multiplication_invariance(f, k, sign, p):
     g = f.shift(k) * sign
     assert mu_invariant(f, p) == mu_invariant(g, p)
     assert mahler_padic(f, p).coefficient == mahler_padic(g, p).coefficient
-    assert newton_polygon(f, p).segments == newton_polygon(g, p).segments
+    assert NewtonPolygon.of(f, p).segments == NewtonPolygon.of(g, p).segments
 
 
 @given(laurent_polynomials(max_deg=5, height=500), primes)
 def test_jensen_reconciliation(f, p):
     assert gauss_valuation_from_polygon(f, p) == gauss_norm_valuation(f, p)
+
+
+@given(laurent_polynomials(max_deg=5, height=500), primes)
+def test_entropy_is_positive_polygon_rise(f, p):
+    # the polygon route stays an independent oracle for h_p, which
+    # entropy_padic reads off the Gauss norm
+    segments = NewtonPolygon.of(f, p).segments
+    rise = sum(slope * length for slope, length in segments if slope > 0)
+    assert entropy_padic(f, p).coefficient == rise
 
 
 @settings(max_examples=40)

@@ -1,6 +1,6 @@
 import pytest
 
-from padic_mahler.errors import DomainError
+from padic_mahler.errors import DomainError, PrecisionError
 from padic_mahler.padics import padic_log_of_int
 from padic_mahler.parsing import parse_laurent
 from padic_mahler.pure import (
@@ -182,3 +182,12 @@ def test_small_budget_is_a_domain_error(n_budget):
         pure_log_mahler_estimate(P("2*t - 3"), 3, n_budget=n_budget)
     with pytest.raises(DomainError):
         pure_link_growth(P("(t-1)*(2*t-3)"), 2, 3, n_budget=n_budget)
+
+
+@pytest.mark.parametrize("precision", [0, -2])
+def test_nonpositive_precision_is_a_precision_error(precision):
+    f = P("2*t^2 - 3*t + 2")
+    with pytest.raises(PrecisionError):
+        pure_log_mahler_estimate(f, 2, n_budget=60, precision=precision)
+    with pytest.raises(PrecisionError):
+        pure_log_mahler_closed_form(f, 2, precision=precision)

@@ -198,6 +198,12 @@ class TestValuationPath:
         for r in range(1, 11):
             assert cyclic_resultant_valuation(f, 2 ** r, 2) == 2 ** r - 1 + r
 
+    @pytest.mark.parametrize("text", ["2*t - 3", "9"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_nonpositive_n(self, text, n):
+        with pytest.raises(DomainError):
+            cyclic_resultant_valuation(parse_laurent(text), n, 3)
+
     def test_stress_high_degree_with_content(self):
         # degree up to 8 and p | content at the same prime as the tower
         rng = random.Random(83)

@@ -8,10 +8,9 @@ from padic_mahler.ntheory import INFINITY, is_prime, vp
 from padic_mahler.parsing import parse_laurent
 from padic_mahler.polynomials import LaurentPolynomial, normalize
 from padic_mahler.valuations import (
+    NewtonPolygon,
     gauss_norm_valuation,
     gauss_valuation_from_polygon,
-    newton_polygon,
-    root_valuations,
 )
 
 
@@ -86,22 +85,24 @@ def brute_force_lower_hull(points):
 
 class TestNewtonPolygon:
     def test_split_slopes(self):
-        poly = newton_polygon(parse_laurent("2*t^2 - 5*t + 2"), 2)
+        poly = NewtonPolygon.of(parse_laurent("2*t^2 - 5*t + 2"), 2)
         assert [(s, l) for s, l in poly.segments] == [(-1, 1), (1, 1)]
         assert poly.root_valuations() == [-1, 1]
 
     def test_flat(self):
-        poly = newton_polygon(parse_laurent("t^2 - 3*t + 1"), 2)
+        f = parse_laurent("t^2 - 3*t + 1")
+        poly = NewtonPolygon.of(f, 2)
         assert [(s, l) for s, l in poly.segments] == [(0, 2)]
-        assert root_valuations(parse_laurent("t^2 - 3*t + 1"), 3) == [0, 0]
+        assert NewtonPolygon.of(f, 3).root_valuations() == [0, 0]
 
     def test_twist_knot(self):
-        poly = newton_polygon(parse_laurent("2*t^2 - 3*t + 2"), 2)
+        poly = NewtonPolygon.of(parse_laurent("2*t^2 - 3*t + 2"), 2)
         assert [(s, l) for s, l in poly.segments] == [(-1, 1), (1, 1)]
         assert poly.vertices == ((0, 1), (1, 0), (2, 1))
 
     def test_single_root_of_unity(self):
-        assert root_valuations(parse_laurent("2*t - 2"), 2) == [0]
+        f = parse_laurent("2*t - 2")
+        assert NewtonPolygon.of(f, 2).root_valuations() == [0]
 
     def test_matches_brute_force_hull(self):
         rng = random.Random(29)
@@ -111,7 +112,7 @@ class TestNewtonPolygon:
             if f.is_zero or normalize(f).degree == 0:
                 continue
             p = rng.choice([2, 3, 5, 7])
-            poly = newton_polygon(f, p)
+            poly = NewtonPolygon.of(f, p)
             pts = sorted((e, vp(c, p)) for e, c in normalize(f).terms.items())
             assert list(poly.vertices) == brute_force_lower_hull(pts)
 
@@ -129,5 +130,5 @@ class TestNewtonPolygon:
     def test_segment_lengths_cover_degree(self):
         f = parse_laurent("12*t^5 - 9*t^3 + 2*t^2 - 6")
         for p in (2, 3, 5):
-            poly = newton_polygon(f, p)
+            poly = NewtonPolygon.of(f, p)
             assert sum(l for _, l in poly.segments) == normalize(f).degree
