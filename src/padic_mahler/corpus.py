@@ -144,19 +144,28 @@ def _parse_record(entry) -> LinkRecord:
 
 
 def load_corpus(path=None):
-    """Load LinkRecords from ``path`` or from the packaged corpus; a record
-    with a missing key or a value of the wrong type is a DomainError."""
+    """Load LinkRecords from ``path`` or from the packaged corpus.  A file
+    that is not JSON, a top level that is not an object, a missing or
+    non-list "records", and a record with a missing key or a value of the
+    wrong type are DomainErrors."""
     if path is None:
         source = importlib.resources.files("padic_mahler").joinpath(
             "data/corpus.json")
         raw = json.loads(source.read_text())
     else:
         with open(path) as handle:
-            raw = json.load(handle)
+            try:
+                raw = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"corpus is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DomainError("corpus top level must be a JSON object")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise DomainError(
             f"corpus schema_version {raw.get('schema_version')!r} is not "
             f"{SCHEMA_VERSION}")
+    if not isinstance(raw.get("records"), list):
+        raise DomainError('corpus "records" must be a list')
     records = []
     for index, entry in enumerate(raw["records"]):
         try:

@@ -9,6 +9,13 @@ exact valuations of the cyclic resultants at n = p^r and solves the model
 on a trailing window, demanding exact equality rather than least squares.
 Their agreement is the consistency theorem this module re-proves on every
 input it is given.
+
+Each tower valuation is split along the Newton polygon (see
+resultants.cyclic_resultant_valuation): e_r = (p^r - 1) * mu +
+v_p R(A0, nu_{p^r}), with A0 the unit-root factor of A / p^mu.  The mu*p^r
+term is that (n - 1) * mu term (its -mu lands in nu), and lambda*r + nu
+comes from A0 alone, so the work per level does not grow with mu or with
+v_p of the leading coefficient.
 """
 
 from __future__ import annotations
@@ -117,8 +124,7 @@ def tower_order_valuations(A: LaurentPolynomial, p: int, r_max: int):
     """e_r = v_p(|R(A, nu_{p^r})|) for r = 1..r_max, exactly."""
     A = _prepare(A, p)
     _require_nonzero_tower_resultants(A, p)
-    gauss = gauss_norm_valuation(A, p)
-    return [cyclic_resultant_valuation(A, p**r, p, gauss_bound=gauss)
+    return [cyclic_resultant_valuation(A, p**r, p)
             for r in range(1, r_max + 1)]
 
 

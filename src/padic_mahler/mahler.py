@@ -61,23 +61,31 @@ class LogMeasure:
 
 
 def _root_contributions(roots, radii):
-    """(sum of log max(|z|,1), certified error bound)."""
+    """(sum of log max(|z|,1), certified error bound, number of logs
+    summed)."""
     total = 0.0
     err = 0.0
+    count = 0
     for z, b in zip(roots, radii):
         r = abs(z)
         if not math.isfinite(b):
-            return None, math.inf
+            return None, math.inf, 0
         if r + b <= 1.0:
             continue
         total += math.log(max(r, 1.0))
+        count += 1
         lo = max(r - b, 1e-300)
         err += math.log(max(r + b, 1.0)) - math.log(max(lo, 1.0))
-    return total, err
+    return total, err, count
 
 
 def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
-    """Euclidean log Mahler measure, certified to absolute error <= tol."""
+    """Euclidean log Mahler measure, certified to absolute error <= tol.
+
+    The error bound covers the root enclosures and, as a rounding
+    allowance, (k + 1) ulp(M) for the k float logs summed, M the largest
+    magnitude among them and their partial sums; it is never 0.
+    """
     if f.is_zero:
         raise ZeroPolynomialError("Mahler measure of the zero polynomial")
     if not tol > 0:
@@ -85,27 +93,39 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     f = normalize(f)
     value = 0.0
     error = 0.0
+    logs = 0        # float logs summed into value
+    peak = 0.0      # largest magnitude among them and the partial sums
     # split into squarefree factors (their product is exactly f) so the
     # root finder never meets a repeated root, where its residual bound
     # could not certify anything
     parts = squarefree_split(f)
     budget = tol / (2.0 * len(parts))
     for part in parts:
-        value += math.log(abs(float(part.leading_coefficient)))
+        lead_log = math.log(abs(float(part.leading_coefficient)))
+        value += lead_log
+        logs += 1
+        peak = max(peak, abs(lead_log), abs(value))
         if part.degree == 0:
             continue
         coeffs = part.coefficients_ascending()
         froots, fradii = aberth_roots([float(c) for c in coeffs])
-        contrib, err = _root_contributions(froots, fradii)
+        contrib, err, count = _root_contributions(froots, fradii)
         if contrib is None or err > budget:
             digits = max(25, int(-math.log10(tol)) + 12)
             froots, fradii = polish_roots(coeffs, froots, digits)
-            contrib, err = _root_contributions(froots, fradii)
+            contrib, err, count = _root_contributions(froots, fradii)
             if contrib is None or err > budget:
                 raise ConvergenceError(
                     "root finder could not certify the requested tolerance")
         value += contrib
         error += err
+        logs += count
+        # the root logs are >= 0, so contrib bounds them and their partial sums
+        peak = max(peak, contrib, abs(value))
+    error += (logs + 1) * math.ulp(peak)
+    if error > tol:
+        raise ConvergenceError(
+            "rounding allowance exceeds the requested tolerance")
     return LogMeasure.infinite(value, error)
 
 

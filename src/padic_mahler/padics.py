@@ -12,8 +12,15 @@ p-adic logarithm in the branch normalized by log(p) = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
-from .errors import DomainError, HenselError, PrecisionError, ZeroPolynomialError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    HenselError,
+    PrecisionError,
+    ZeroPolynomialError,
+)
 from .ntheory import INFINITY, check_prime, modinv, vp_int
 from .polynomials import LaurentPolynomial, normalize
 
@@ -293,6 +300,94 @@ def hensel_lift(f: LaurentPolynomial, p: int, start: int,
         return PadicNumber.zero(p, M)
     w = vp_int(x, p)
     return PadicNumber(p, w, (x // p**w) % p**N, N)
+
+
+def _reduce(a, mod):
+    """Ascending coefficients reduced mod ``mod``, top zeros dropped."""
+    a = [c % mod for c in a]
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_add(a, b, mod):
+    return _reduce([x + y for x, y in zip_longest(a, b, fillvalue=0)], mod)
+
+
+def _poly_sub(a, b, mod):
+    return _reduce([x - y for x, y in zip_longest(a, b, fillvalue=0)], mod)
+
+
+def _poly_mul(a, b, mod):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _reduce(out, mod)
+
+
+def _poly_divmod(a, h, mod):
+    """(q, r) with a = q h + r mod ``mod`` and deg r < deg h; h monic."""
+    d = len(h) - 1
+    r = list(a)
+    q = [0] * max(1, len(r) - d)
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r[k] % mod
+        if c:
+            q[k - d] = c
+            for j in range(d + 1):
+                r[k - d + j] -= c * h[j]
+    return _reduce(q, mod), _reduce(r[:d], mod)
+
+
+def _unit_root_factor(F, p: int, K: int):
+    """The monic factor f0 of F over Z_p whose roots are the p-adic units
+    (the horizontal segment of the Newton polygon), modulo p^K.
+
+    F is an ascending integer coefficient list with F[0] != 0 and at least
+    two p-unit coefficients.  With i0 < i1 the lowest and highest indices
+    of those, F = t^i0 * c * f0bar mod p, where f0bar is monic of
+    degree i1 - i0 with f0bar(0) != 0, so the two factors are coprime mod p.
+    They are lifted by the quadratic Hensel step of von zur Gathen and
+    Gerhard (Modern Computer Algebra, Alg. 15.10) with the monic f0 as the
+    divisor, the cofactor g absorbing the degree that vanishes mod p; the
+    lift is checked (F = g f0 mod p^K) before it is returned.
+    """
+    units = [i for i, c in enumerate(F) if c % p]
+    i0, i1 = units[0], units[-1]
+    c_inv = modinv(F[i1] % p, p)
+    h = [x * c_inv % p for x in F[i0:i1 + 1]]       # f0 mod p
+    g = [0] * i0 + [F[i1] % p]                      # c t^i0
+    # s = (c t^i0)^(-1) mod h: i0 exact divisions by t mod h, h(0) != 0
+    s, h0_inv = [c_inv], modinv(h[0], p)
+    for _ in range(i0):
+        lam = s[0] * h0_inv
+        s = _reduce([x - lam * y for x, y in zip_longest(s, h, fillvalue=0)][1:],
+                    p)
+    # t = (1 - s g) / h, an exact division since s g = 1 mod h
+    t, _ = _poly_divmod(_poly_sub([1], _poly_mul(s, g, p), p), h, p)
+    k = 1
+    while k < K:
+        k = min(2 * k, K)
+        mod = p**k
+        # F = g h + e, s g + t h = 1 + b, both corrections = 0 mod p^(k/2)
+        e = _poly_sub(F, _poly_mul(g, h, mod), mod)
+        q, r = _poly_divmod(_poly_mul(s, e, mod), h, mod)
+        g = _poly_add(g, _poly_add(_poly_mul(t, e, mod),
+                                   _poly_mul(q, g, mod), mod), mod)
+        h = _poly_add(h, r, mod)
+        if k == K:  # the last step needs no new Bezout pair
+            break
+        b = _poly_sub(_poly_add(_poly_mul(s, g, mod), _poly_mul(t, h, mod),
+                                mod), [1], mod)
+        c, d = _poly_divmod(_poly_mul(s, b, mod), h, mod)
+        s = _poly_sub(s, d, mod)
+        t = _poly_sub(t, _poly_add(_poly_mul(t, b, mod),
+                                   _poly_mul(c, g, mod), mod), mod)
+    if _poly_sub(F, _poly_mul(g, h, p**K), p**K) != [0]:
+        raise ConvergenceError("unit-root factor failed its lift check")
+    return h
 
 
 def teichmuller(a: int, p: int, N: int) -> PadicNumber:

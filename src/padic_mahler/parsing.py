@@ -107,8 +107,12 @@ class _Parser:
     def _pow(self, base, k, pos):
         if k >= 0:
             result = self._const(1)
-            for _ in range(k):
-                result = self._mul(result, base)
+            while k:
+                if k & 1:
+                    result = self._mul(result, base)
+                k >>= 1
+                if k:
+                    base = self._mul(base, base)
             return result
         if len(base) != 1:
             raise ParseError("negative power of a non-monomial", pos)

@@ -23,6 +23,7 @@ from operator import mul
 
 from .errors import ConvergenceError, DomainError
 from .ntheory import check_prime, vp_int
+from .padics import _unit_root_factor
 from .polynomials import (
     LaurentPolynomial,
     all_ones_polynomial,
@@ -106,11 +107,10 @@ def resultant(f: LaurentPolynomial, g: LaurentPolynomial) -> Fraction:
 # -- companion-matrix machinery -------------------------------------------
 
 
-def _scaled_companion(f: LaurentPolynomial):
+def _scaled_companion(coeffs):
     """(B, a, d): B = a*C with C the companion matrix of f/a, a = leading
-    coefficient, d = degree.  B is an integer matrix; f must be integral
-    and normalized with d >= 1."""
-    coeffs = f.integer_coefficients_ascending()  # c_0 .. c_d
+    coefficient, d = degree, for f given by its ascending integer
+    coefficients c_0 .. c_d with d >= 1.  B is an integer matrix."""
     d = len(coeffs) - 1
     a = coeffs[d]
     B = [[0] * d for _ in range(d)]
@@ -202,15 +202,22 @@ def berkowitz_determinant_mod(A, mod: int) -> int:
 # -- cyclic resultants -----------------------------------------------------
 
 
-def _companion_setup(f: LaurentPolynomial):
-    """(f, B, a, d) for the normalization f of a nonzero integral input,
-    with B its scaled companion matrix (None for a constant, d = 0)."""
+def _integer_coefficients(f: LaurentPolynomial):
+    """Ascending integer coefficients of the normalization of a nonzero
+    integral input."""
     f = normalize(f)
     if not f.is_integral:
         raise DomainError("cyclic resultants require integer coefficients")
-    if f.degree == 0:
-        return f, None, int(f.leading_coefficient), 0
-    return (f, *_scaled_companion(f))
+    return f.integer_coefficients_ascending()
+
+
+def _companion_setup(f: LaurentPolynomial):
+    """(B, a, d) for the normalization of a nonzero integral input, with B
+    its scaled companion matrix (None for a constant, d = 0)."""
+    coeffs = _integer_coefficients(f)
+    if len(coeffs) == 1:
+        return None, coeffs[0], 0
+    return _scaled_companion(coeffs)
 
 
 def _cyclic_from_powers(P, H, a, n, d, variant):
@@ -240,7 +247,7 @@ def cyclic_resultant(f: LaurentPolynomial, n: int, variant: str = "ones") -> int
         raise DomainError(f"unknown cyclic resultant variant {variant!r}")
     if n < 1:
         raise DomainError("need n >= 1")
-    _, B, a, d = _companion_setup(f)
+    B, a, d = _companion_setup(f)
     if d == 0:
         return a**n if variant == "full" else a ** (n - 1)
     P, H, _ = _power_and_ones_sum(B, a, n)
@@ -258,7 +265,7 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     """
     if variant not in ("ones", "full"):
         raise DomainError(f"unknown cyclic resultant variant {variant!r}")
-    _, B, a, d = _companion_setup(f)
+    B, a, d = _companion_setup(f)
     if d:
         column = [row[-1] for row in B]
         P, H, k = B, _identity(d), 1     # B^k, H_k
@@ -292,35 +299,49 @@ def cyclic_resultant_sylvester(f: LaurentPolynomial, n: int,
     return int(value)
 
 
-def cyclic_resultant_valuation(f: LaurentPolynomial, n: int, p: int,
-                               gauss_bound: int | None = None) -> int:
-    """Exact v_p of cyclic_resultant(f, n, "ones"), computed modulo a power
-    of p large enough to witness the valuation.
+def cyclic_resultant_valuation(f: LaurentPolynomial, n: int, p: int) -> int:
+    """Exact v_p of cyclic_resultant(f, n, "ones"), split along the Newton
+    polygon as
 
-    The residue of the scaled determinant modulo p^K is an exact image of
-    the true integer; a nonzero residue therefore certifies the valuation.
-    If the residue vanishes the working precision doubles, so the answer is
-    always the exact valuation (the resultant itself must be nonzero, which
-    callers guarantee by excluding n-th roots of unity among the roots).
+        v_p R(f, nu_n) = (n - 1) * mu + v_p R(f0, nu_n),
+
+    where mu is the Gauss-norm valuation (the p-adic Mahler measure is
+    p^(-mu)) and f0 the monic factor of F = f / p^mu over Z_p whose roots
+    are the p-adic units.  A root alpha of F with |alpha|_p > 1 gives
+    nu_n(alpha) of valuation (n - 1) v_p(alpha), one with |alpha|_p < 1 a
+    unit; together with the leading coefficient they contribute exactly
+    (n - 1) * mu.  In a p-power tower, n = p^r, this is the mu * p^r term
+    of the Iwasawa formula.
+
+    Only R(f0, nu_n) is computed, modulo p^K with K independent of mu and
+    of the leading coefficient.  The residue of the companion determinant
+    is an exact image of the true integer, so a nonzero residue certifies
+    the valuation; if it vanishes the working precision doubles (the
+    resultant itself must be nonzero, which callers guarantee by excluding
+    n-th roots of unity among the roots).  When both end coefficients of F
+    are p-units, every root is a unit and F itself stands in for f0.
     """
     check_prime(p)
     if n < 1:
         raise DomainError("need n >= 1")
-    f, B, a, d = _companion_setup(f)
-    if d == 0:
-        return (n - 1) * vp_int(a, p)
-    if gauss_bound is None:
-        gauss_bound = min(vp_int(int(c), p) for c in f.terms.values())
-    shift = (n - 1) * (d - 1) * vp_int(a, p)
-    K = shift + n * gauss_bound + (d + 2) * (n.bit_length() + 8) + 32
+    coeffs = _integer_coefficients(f)
+    mu = min(vp_int(c, p) for c in coeffs if c)
+    F = [c // p**mu for c in coeffs]
+    units = [i for i, c in enumerate(F) if c % p]
+    d0 = units[-1] - units[0]
+    if d0 == 0:  # no unit roots: R(f0, nu_n) = 1
+        return (n - 1) * mu
+    K = (d0 + 2) * (n.bit_length() + 8) + 32
     for _ in range(8):
         mod = p**K
+        f0 = F if d0 == len(F) - 1 else _unit_root_factor(F, p, K)
+        B, a, _ = _scaled_companion(f0)
         _, H, _ = _power_and_ones_sum(B, a, n, mod)
         det = berkowitz_determinant_mod(H, mod)
         if det != 0:
             v = vp_int(det, p)
             if v < K - 1:  # strictly inside the window: certified
-                return v - shift
+                return (n - 1) * mu + v
         K *= 2
     raise ConvergenceError(
         "could not certify the resultant valuation; is R(f, nu_n) zero?")

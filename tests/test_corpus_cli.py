@@ -148,6 +148,18 @@ class TestCorpus:
         assert main(["verify-corpus", "--corpus", str(path)]) == 4
         assert "nodelta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, problem", [
+        ("{", "not valid JSON"),
+        ('{"schema_version": 1}', '"records" must be a list'),
+        ("[1]", "must be a JSON object"),
+    ])
+    def test_malformed_corpus_file_is_a_domain_error(self, tmp_path, capsys,
+                                                     text, problem):
+        path = tmp_path / "corpus.json"
+        path.write_text(text)
+        assert main(["verify-corpus", "--corpus", str(path)]) == 4
+        assert problem in capsys.readouterr().err
+
     def test_iwasawa_claim_runs_consistency_check(self, tmp_path):
         # 4(t-1)^2 has a multiple zero at t = 1, which verify_consistency
         # refuses: the homology model does not cover it
@@ -184,6 +196,13 @@ class TestCli:
         assert main(["iwasawa", "--poly", "2*t-2", "--prime", "2",
                      "--rmax", "6"]) == 0
         assert "lambda=1 mu=1 nu=-1 r0=1" in capsys.readouterr().out
+
+    def test_iwasawa_deep_tower(self, capsys):
+        # mu = 1: the modulus no longer grows with 2^r, so r = 40 is cheap
+        assert main(["iwasawa", "--poly", "2*t-2", "--prime", "2",
+                     "--rmax", "40"]) == 0
+        assert capsys.readouterr().out.strip() == \
+            "lambda=1 mu=1 nu=-1 r0=1 (analytic lambda=1 mu=1)"
 
     def test_entropy_json(self, capsys):
         assert main(["--format", "json", "entropy",

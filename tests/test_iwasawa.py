@@ -135,3 +135,14 @@ class TestConsistency:
             assert mu_invariant(f, p) == mu_invariant(g, p)
             assert lambda_invariant(f, p) == lambda_invariant(g, p)
             assert fit_invariants(f, p, 5) == fit_invariants(g, p, 5)
+
+
+class TestRoadmapTower:
+    def test_fit_invariants_pinned(self):
+        # p divides the leading coefficient but not the trailing one: the
+        # split computes every level on the degree-7 unit-root factor
+        f = P("3*t^8-7*t^7+2*t^5-11*t^4+5*t^3-t+4")
+        assert tower_order_valuations(f, 3, 7) == [0] * 7
+        assert fit_invariants(f, 3, 7).to_dict() == {
+            "p": 3, "lambda": 0, "mu": 0, "nu": 0, "r0": 1,
+            "source": "fitted"}

@@ -5,7 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from padic_mahler.errors import DomainError, ZeroPolynomialError
+from padic_mahler.errors import (
+    ConvergenceError,
+    DomainError,
+    ZeroPolynomialError,
+)
 from padic_mahler.mahler import (
     mahler_euclidean,
     mahler_padic,
@@ -51,6 +55,18 @@ class TestEuclidean:
     def test_constant(self):
         m = mahler_euclidean(LaurentPolynomial.constant(-5))
         assert abs(m.value - math.log(5)) <= 1e-14
+
+    @pytest.mark.parametrize("text", [
+        "2*t - 1", "5*t^3 - 1", "t^2 - 3*t + 1", "t^2 - t + 1", "t - 1",
+        "4*t^4 - 8*t^2 + 4", "t", "3", "-5", "1/2", "10^30"])
+    def test_error_bound_is_positive(self, text):
+        # every value is a rounded float log, so no bound may read 0
+        assert mahler_euclidean(P(text)).error > 0
+
+    def test_tolerance_below_rounding_is_refused(self):
+        # log 3 is a rounded float: no bound of 1e-300 can be certified
+        with pytest.raises(ConvergenceError):
+            mahler_euclidean(P("3"), tol=1e-300)
 
     def test_matches_numpy_oracle(self):
         rng = random.Random(43)

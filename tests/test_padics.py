@@ -7,6 +7,7 @@ from padic_mahler.errors import DomainError, HenselError, PrecisionError
 from padic_mahler.ntheory import vp_int
 from padic_mahler.padics import (
     PadicNumber,
+    _unit_root_factor,
     hensel_lift,
     padic_log,
     padic_log_of_fraction,
@@ -127,6 +128,15 @@ class TestHensel:
         # f(t) = t^2 + 7 at start 5 has v(f') = 1, v(f(5)) = 5 > 2
         r = hensel_lift(parse_laurent("t^2 + 7"), 2, 5, 4, 20)
         assert (r.unit * r.unit + 7) % 2**20 == 0
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 40])
+    def test_unit_root_factor_is_exact_factor(self, K):
+        # at p = 3 the roots of 3t - 1 and t - 3 are not units, those of
+        # t^2 - t - 1 (irreducible mod 3) are
+        F = parse_laurent("(t^2-t-1)*(3*t-1)*(t-3)")
+        mod = 3**K
+        assert _unit_root_factor(F.integer_coefficients_ascending(), 3, K) \
+            == [-1 % mod, -1 % mod, 1]
 
 
 class TestTeichmuller:

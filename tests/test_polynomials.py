@@ -40,6 +40,15 @@ class TestParsing:
     def test_power_of_sum(self):
         assert parse_polynomial("(t-1)^2").terms == {2: 1, 1: -2, 0: 1}
 
+    def test_high_power_matches_polynomial_power(self):
+        assert parse_laurent("(t-1)^200") == parse_laurent("t-1") ** 200
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_multivariate_power_matches_repeated_product(self, k):
+        base = "(x + 2*y - 1)"
+        product = "*".join([base] * k) or "1"
+        assert parse_polynomial(f"{base}^{k}") == parse_polynomial(product)
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse_polynomial("t^2 + $")

@@ -1,12 +1,12 @@
 """Hypothesis property suites for the exact kernels."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padic_mahler.entropy import entropy_padic
 from padic_mahler.iwasawa import mu_invariant
 from padic_mahler.mahler import mahler_padic
-from padic_mahler.ntheory import vp
+from padic_mahler.ntheory import vp, vp_int
 from padic_mahler.padics import PadicNumber, padic_log, teichmuller
 from padic_mahler.parsing import parse_polynomial
 from padic_mahler.polynomials import LaurentPolynomial, normalize
@@ -14,6 +14,7 @@ from padic_mahler.resultants import (
     cyclic_resultant,
     cyclic_resultant_sweep,
     cyclic_resultant_sylvester,
+    cyclic_resultant_valuation,
     resultant,
 )
 from padic_mahler.valuations import (
@@ -101,6 +102,37 @@ def test_cyclic_resultant_sweep_matches_binary_powering(f, ns, variant):
     ns = sorted(ns)
     assert list(cyclic_resultant_sweep(f, ns, variant)) == \
         [cyclic_resultant(f, n, variant) for n in ns]
+
+
+@st.composite
+def tower_inputs(draw):
+    """(f, n, p) with p | lead only, p at both ends, p | content, or
+    p | content and lead; n in 1..30 or a p-power <= 243."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["lead", "both", "content", "content+lead"]))
+    d = draw(st.integers(1, 5))
+    units = st.integers(1, 12).filter(lambda x: x % p)
+    c = [draw(st.integers(-12, 12)) for _ in range(d + 1)]
+    c[0] = draw(units) * draw(st.sampled_from([1, -1]))
+    c[d] = draw(units)
+    if kind in ("lead", "both", "content+lead"):
+        c[d] *= p ** draw(st.integers(1, 2))
+    if kind == "both":
+        c[0] *= p ** draw(st.integers(1, 2))
+    if kind.startswith("content"):
+        c = [x * p ** draw(st.integers(1, 2)) for x in c]
+    n = draw(st.one_of(st.integers(1, 30), st.sampled_from(
+        [p**r for r in range(1, 8) if p**r <= 243])))
+    return LaurentPolynomial(dict(enumerate(c))), n, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_inputs())
+def test_tower_valuation_matches_exact_resultant(inputs):
+    f, n, p = inputs
+    exact = cyclic_resultant(f, n, "ones")
+    assume(exact != 0)
+    assert cyclic_resultant_valuation(f, n, p) == vp_int(exact, p)
 
 
 @given(st.fractions(), st.fractions(), primes)
