@@ -27,8 +27,8 @@ from .mahler import mahler_euclidean, mahler_padic, resultant_limit_estimate
 from .ntheory import INFINITY
 from .parsing import parse_laurent, parse_polynomial
 from .polynomials import MultivariatePolynomial
-from .pure import pure_entropy, pure_log_mahler_closed_form, \
-    pure_log_mahler_estimate, pure_link_growth
+from .pure import closed_form_agreement, pure_entropy, \
+    pure_log_mahler_closed_form, pure_log_mahler_estimate, pure_link_growth
 
 EXIT_PARSE = 3
 EXIT_DOMAIN = 4
@@ -177,15 +177,16 @@ def _run(args) -> int:
         lines = [f"estimator:   {est.value.digit_string()}"]
         try:
             cf = pure_log_mahler_closed_form(poly, args.prime, args.precision)
-            agree = est.value.agreement_valuation(cf.value)
+        except DomainError as exc:
+            lines.append(f"closed form unavailable: {exc}")
+        else:
+            agree = closed_form_agreement(est, cf)
             payload["closed_form"] = cf.to_dict()
             payload["agreement_digits"] = (
                 None if agree == math.inf else int(agree))
             lines.append(f"closed form: {cf.value.digit_string()} "
                          f"[{cf.method}]")
             lines.append(f"agreement:   {agree} {args.prime}-adic digits")
-        except DomainError as exc:
-            lines.append(f"closed form unavailable: {exc}")
         _emit(args, payload, "\n".join(lines))
         return 0
 

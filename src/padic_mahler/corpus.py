@@ -32,6 +32,7 @@ from .polynomials import (
     power_minus_one,
 )
 from .pure import (
+    closed_form_agreement,
     pure_entropy,
     pure_link_growth,
     pure_log_mahler_closed_form,
@@ -144,20 +145,23 @@ def _parse_record(entry) -> LinkRecord:
 
 
 def load_corpus(path=None):
-    """Load LinkRecords from ``path`` or from the packaged corpus.  A file
-    that is not JSON, a top level that is not an object, a missing or
-    non-list "records", and a record with a missing key or a value of the
-    wrong type are DomainErrors."""
+    """Load LinkRecords from ``path`` or from the packaged corpus.  A path
+    that cannot be read, a file that is not JSON, a top level that is not
+    an object, a missing or non-list "records", and a record with a missing
+    key or a value of the wrong type are DomainErrors."""
     if path is None:
         source = importlib.resources.files("padic_mahler").joinpath(
             "data/corpus.json")
         raw = json.loads(source.read_text())
     else:
-        with open(path) as handle:
-            try:
+        try:
+            with open(path) as handle:
                 raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise DomainError(f"corpus is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise DomainError(
+                f"cannot read corpus {path}: {exc.strerror}") from exc
+        except ValueError as exc:       # also a file that is not UTF-8
+            raise DomainError(f"corpus is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DomainError("corpus top level must be a JSON object")
     if raw.get("schema_version") != SCHEMA_VERSION:
@@ -355,7 +359,7 @@ def _check_claim(record: LinkRecord, claim: Claim, tol: float):
                                        precision=params["min_digits"] + 14)
         cf = pure_log_mahler_closed_form(poly, p,
                                          precision=params["min_digits"] + 14)
-        agree = est.value.agreement_valuation(cf.value)
+        agree = closed_form_agreement(est, cf)
         ok = agree >= params["min_digits"]
         return ok, (f"estimator and closed form "
                     f"({params.get('closed_form')}) share {agree} "

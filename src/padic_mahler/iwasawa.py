@@ -2,11 +2,12 @@
 
 For p-power covers the p-part of the homology order obeys
 v_p(|H_1(M_{p^r})|) = lambda*r + mu*p^r + nu exactly for r >= r0.  The
-analytic route reads mu off the Gauss norm and lambda off the Newton
-polygon of A(1+T)/p^mu in T (Weierstrass preparation: lambda counts the
-roots with v_p(T) > 0, including T = 0).  The fitted route computes the
-exact valuations of the cyclic resultants at n = p^r and solves the model
-on a trailing window, demanding exact equality rather than least squares.
+analytic route reads mu off the Gauss norm and lambda off the coefficients
+c_i of A(1+T): the least i with v_p(c_i) = mu, which by Weierstrass
+preparation counts the roots T of A(1+T)/p^mu with v_p(T) > 0, including
+T = 0.  The fitted route computes the exact valuations of the cyclic
+resultants at n = p^r and solves the model on a trailing window,
+demanding exact equality rather than least squares.
 Their agreement is the consistency theorem this module re-proves on every
 input it is given.
 
@@ -21,10 +22,9 @@ v_p of the leading coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
-from .ntheory import check_prime
+from .ntheory import check_prime, vp_int
 from .polynomials import (
     LaurentPolynomial,
     normalize,
@@ -32,7 +32,7 @@ from .polynomials import (
     power_minus_one,
 )
 from .resultants import cyclic_resultant_valuation
-from .valuations import NewtonPolygon, gauss_norm_valuation
+from .valuations import gauss_norm_valuation
 
 
 @dataclass(frozen=True)
@@ -95,29 +95,19 @@ def mu_invariant(A: LaurentPolynomial, p: int) -> int:
     return gauss_norm_valuation(A, p)
 
 
-def _weierstrass_shift(A: LaurentPolynomial, mu: int, p: int) -> LaurentPolynomial:
-    """A(1+T) / p^mu as a polynomial in T (exact)."""
-    shifted = LaurentPolynomial.zero(A.variable)
-    one_plus_t = LaurentPolynomial({0: 1, 1: 1}, A.variable)
-    for e, c in sorted(A.terms.items()):
-        shifted = shifted + one_plus_t**e * c
-    return shifted * Fraction(1, p**mu)
-
-
 def lambda_invariant(A: LaurentPolynomial, p: int) -> int:
-    """lambda = number of roots T of A(1+T)/p^mu with v_p(T) > 0: the
-    multiplicity of T = 0 plus the total length of the negative-slope
-    Newton polygon segments."""
+    """lambda = the least i with v_p(c_i) = mu, where c is A(1+T) in T:
+    by Weierstrass preparation the number of roots T of A(1+T)/p^mu with
+    v_p(T) > 0, including T = 0.  (The Taylor shift is invertible over Z,
+    so min_i v_p(c_i) is the Gauss-norm valuation mu of A.)"""
     A = _prepare(A, p)
     _require_nonzero_tower_resultants(A, p)
     mu = gauss_norm_valuation(A, p)
-    B = _weierstrass_shift(A, mu, p)
-    if B.is_constant:
-        return 0
-    order_at_zero = B.low_degree
-    polygon = NewtonPolygon.of(B, p)
-    return order_at_zero + sum(length for slope, length in polygon.segments
-                               if slope < 0)
+    c = A.integer_coefficients_ascending()
+    for i in range(len(c) - 1):          # integer Taylor shift t -> 1 + T
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    return next(i for i, x in enumerate(c) if vp_int(x, p) == mu)
 
 
 def tower_order_valuations(A: LaurentPolynomial, p: int, r_max: int):

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .ntheory import INFINITY, check_prime, modinv, vp_int
 from .polynomials import LaurentPolynomial, normalize
+from .roots import _horner
 
 
 class PadicNumber:
@@ -185,14 +186,6 @@ class PadicNumber:
         N = abs_precision - self.v
         return PadicNumber(self.p, self.v, self.unit % self.p**N, N)
 
-    def unit_residue(self, k: int) -> int:
-        """The unit part modulo p^k (k <= N)."""
-        if self.is_zero:
-            raise DomainError("a tracked zero has no unit part")
-        if k > self.N:
-            raise PrecisionError(f"only {self.N} digits tracked, {k} requested")
-        return self.unit % self.p**k
-
     def digits(self, count=None):
         """Base-p digits of the unit part, least significant first."""
         if self.is_zero:
@@ -232,25 +225,6 @@ class PadicNumber:
 # -- Hensel lifting -------------------------------------------------------
 
 
-def _int_coeffs(f: LaurentPolynomial):
-    f = normalize(f)
-    return f.integer_coefficients_ascending()
-
-
-def _eval_poly(coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _eval_deriv(coeffs, x: int) -> int:
-    acc = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * x + i * coeffs[i]
-    return acc
-
-
 def hensel_lift(f: LaurentPolynomial, p: int, start: int,
                 start_exponent: int = 1, N: int = 20) -> PadicNumber:
     """Newton-lift the root of f in Z_p determined by the residue class
@@ -263,12 +237,13 @@ def hensel_lift(f: LaurentPolynomial, p: int, start: int,
     check_prime(p)
     if f.is_zero:
         raise ZeroPolynomialError("cannot lift a root of the zero polynomial")
-    coeffs = _int_coeffs(f)
+    coeffs = normalize(f).integer_coefficients_ascending()
     if len(coeffs) == 1:
         raise DomainError("a nonzero constant has no roots")
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
     x = start % p**start_exponent
-    fx = _eval_poly(coeffs, x)
-    dfx = _eval_deriv(coeffs, x)
+    fx = _horner(coeffs, x)
+    dfx = _horner(deriv, x)
     e = vp_int(dfx, p)
     vf = vp_int(fx, p)
     if e is INFINITY or not vf > 2 * e:
@@ -281,16 +256,16 @@ def hensel_lift(f: LaurentPolynomial, p: int, start: int,
     target = N + e + 4
     x %= mod
     for _ in range(64):
-        fx = _eval_poly(coeffs, x) % mod
+        fx = _horner(coeffs, x) % mod
         if fx == 0:
             break
         if vp_int(fx, p) >= target:
             break
-        dfx = _eval_deriv(coeffs, x) % mod
+        dfx = _horner(deriv, x) % mod
         scale = p**e
         q = (fx // scale) * modinv((dfx // scale) % mod, mod) % mod
         x = (x - q) % mod
-    fx_final = _eval_poly(coeffs, x)
+    fx_final = _horner(coeffs, x)
     achieved = vp_int(fx_final % mod, p)
     if achieved is not INFINITY and achieved < target:
         raise HenselError("Newton iteration failed to reach the certified "
@@ -411,57 +386,46 @@ def teichmuller(a: int, p: int, N: int) -> PadicNumber:
 # -- the Iwasawa-branch logarithm ------------------------------------------
 
 
-def _log_one_plus(z: PadicNumber) -> PadicNumber:
-    """log(1+z) = sum (-1)^(k+1) z^k / k for v(z) >= 1 (>= 2 if p = 2),
-    truncated so that every discarded term provably exceeds the tracked
-    absolute precision."""
-    p = z.p
-    if z.is_zero:
-        return PadicNumber.zero(p, z.v)
-    w = z.v
-    min_w = 2 if p == 2 else 1
-    if w < min_w:
-        raise DomainError(f"log series needs v(z) >= {min_w} at p = {p}")
-    K = z.abs_precision
-    total = PadicNumber.zero(p, INFINITY)
-    zk = z
-    k = 1
-    while True:
-        # v(z^k / k) >= k*w - v_p(k); bound v_p(k) by log_p(k)
-        if k * w - (k.bit_length() + 2) >= K and k > 4:
-            break
+def _log_one_plus(z: int, p: int, K: int) -> PadicNumber:
+    """log(1 + z) + O(p^K) for an integer z with v_p(z) >= 1 (>= 2 if
+    p = 2), summed on integers mod p^K.  Any representative of z mod p^K
+    gives the same digits: changing z by p^K moves every z^k/k by
+    valuation >= K."""
+    z %= p**K
+    if z == 0:
+        return PadicNumber.zero(p, K)
+    w = vp_int(z, p)
+    # v(z^k / k) >= k*w - v_p(k) > k*w - bit_length(k) - 2: the terms from
+    # the first k > 4 where that bound reaches K on are all O(p^K)
+    stop = 5
+    while stop * w - (stop.bit_length() + 2) < K:
+        stop += 1
+    # z^k is kept mod p^(K + bit_length(stop)): v_p(k) < bit_length(stop),
+    # so the division by p^v_p(k) leaves K digits
+    mod, wide = p**K, p ** (K + stop.bit_length())
+    total, zk = 0, 1
+    for k in range(1, stop):
+        zk = zk * z % wide
         vk = vp_int(k, p)
-        term = zk * PadicNumber.from_int(k // p**vk, p, zk.N + 4).inverse()
-        term = PadicNumber(p, term.v - vk, term.unit, term.N) \
-            if not term.is_zero else PadicNumber.zero(p, term.v - vk)
-        if k % 2 == 0:
-            term = -term
-        total = total + term
-        zk = zk * z
-        k += 1
-        if k > 4 * K + 64:
-            raise PrecisionError("log series failed to terminate")
-    return total.truncate(K)
+        term = zk // p**vk * modinv(k // p**vk, mod)
+        total += term if k % 2 else -term
+    total %= mod
+    if total == 0:
+        return PadicNumber.zero(p, K)
+    v = vp_int(total, p)
+    return PadicNumber(p, v, total // p**v, K - v)
 
 
 def padic_log(x: PadicNumber) -> PadicNumber:
-    """Iwasawa-branch p-adic logarithm: log(p) = 0, log on units via the
-    1-unit part.  For odd p the unit is divided by its Teichmuller
-    representative; for p = 2, log(u) = log(u^2)/2 with u^2 = 1 mod 8."""
+    """Iwasawa-branch p-adic logarithm: log(p) = 0, and on a unit u,
+    log u = log(u^e)/e with e = p - 1 (e = 2 if p = 2), as u^e is a
+    1-unit (u^2 = 1 mod 8 if p = 2)."""
     if x.is_zero:
         raise DomainError("logarithm of a tracked zero")
     p, N = x.p, x.N
-    one = PadicNumber.one(p, N)
-    if p == 2:
-        u2 = PadicNumber(p, 0, x.unit, N) ** 2
-        z = u2 - one
-        body = _log_one_plus(z)
-        if body.is_zero:
-            return PadicNumber.zero(p, body.v - 1)
-        return PadicNumber(p, body.v - 1, body.unit, body.N)
-    omega = teichmuller(x.unit % p, p, N)
-    u1 = PadicNumber(p, 0, x.unit, N) * omega.inverse()
-    return _log_one_plus(u1 - one)
+    e = p - 1 if p > 2 else 2
+    body = _log_one_plus(pow(x.unit, e, p**N) - 1, p, N)
+    return body / PadicNumber.from_int(e, p, N)
 
 
 def padic_log_of_int(n: int, p: int, N: int) -> PadicNumber:

@@ -51,17 +51,8 @@ class LaurentPolynomial:
         return cls({0: _coerce(c)}, variable)
 
     @classmethod
-    def monomial(cls, c, e: int, variable: str = "t") -> "LaurentPolynomial":
-        return cls({e: _coerce(c)}, variable)
-
-    @classmethod
     def variable_power(cls, e: int = 1, variable: str = "t") -> "LaurentPolynomial":
         return cls({e: Fraction(1)}, variable)
-
-    @classmethod
-    def from_coefficients(cls, coeffs, variable: str = "t") -> "LaurentPolynomial":
-        """Build from a list of coefficients in ascending exponent order."""
-        return cls({e: c for e, c in enumerate(coeffs)}, variable)
 
     # -- structure ----------------------------------------------------
 

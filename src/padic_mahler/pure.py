@@ -39,6 +39,7 @@ from .ntheory import check_prime, modinv, vp_int
 from .padics import PadicNumber, hensel_lift, padic_log, padic_log_of_int
 from .polynomials import LaurentPolynomial, normalize, power_minus_one
 from .resultants import cyclic_resultant_sweep
+from .roots import _horner
 from .valuations import NewtonPolygon
 
 STABILIZATION_WINDOW = 8
@@ -136,92 +137,92 @@ def pure_log_mahler_estimate(f: LaurentPolynomial, p: int,
          "certificate": "heuristic stabilization of the trailing window"})
 
 
-def _simple_residual_roots(residual, p):
-    """Distinct simple roots in F_p^* of an ascending coefficient list."""
-    roots = []
-    for r in range(1, p):
-        val = 0
-        for c in reversed(residual):
-            val = (val * r + c) % p
-        if val:
-            continue
-        dval = 0
-        for k in reversed(range(1, len(residual))):
-            dval = (dval * r + k * residual[k]) % p
-        if dval:
-            roots.append(r)
-    return roots
-
-
-def _segment_root_logs(f: LaurentPolynomial, p: int, slope, length: int,
-                       precision: int):
-    """log_p of each root on one positive polygon segment, via the
-    rescaling t = s/p^m and Hensel lifting of the simple unit roots."""
+def _segment_residual_roots(f: LaurentPolynomial, p: int, slope,
+                            length: int):
+    """For one positive polygon segment of integer slope m: the rescaling
+    g(s) = f(s/p^m), made primitive at p, and the `length` distinct simple
+    roots r in F_p^* of its residual polynomial.  g'(r) is a unit, so each
+    r Hensel-lifts to a unit root s = p^m alpha.  A str in place of the
+    pair says why the segment's roots are not lifted in Q_p."""
     if slope.denominator != 1:
-        raise DomainError(
-            f"slope {slope} is not an integer: roots live in a ramified "
-            f"extension of Q_{p}")
+        return (f"slope {slope} is not an integer: roots live in a ramified "
+                f"extension of Q_{p}")
     m = int(slope)
     coeffs = f.integer_coefficients_ascending()
     d = len(coeffs) - 1
     scaled = [c * p ** (m * (d - i)) for i, c in enumerate(coeffs)]
     shift = min(vp_int(c, p) for c in scaled if c != 0)
     scaled = [c // p**shift for c in scaled]
-    g = LaurentPolynomial(dict(enumerate(scaled)), f.variable)
     unit_idx = [i for i, c in enumerate(scaled) if c % p != 0]
     i_a, i_b = min(unit_idx), max(unit_idx)
-    if i_b - i_a != length:
-        raise DomainError(
+    if i_b - i_a != length:        # the polygon's segment says it is
+        raise ConvergenceError(
             "rescaled polygon does not isolate the expected unit-root block")
     residual = [scaled[i] % p for i in range(i_a, i_b + 1)]
-    simple_roots = _simple_residual_roots(residual, p)
-    if len(simple_roots) != length:
-        raise DomainError(
-            "residual polynomial does not split into distinct linear "
-            f"factors over F_{p}; only Q_{p}-rational simple roots are lifted")
-    logs = []
-    for r in simple_roots:
-        lifted = hensel_lift(g, p, r, 1, precision)
-        # the root of f is lifted / p^m; the Iwasawa branch kills p^m
-        logs.append((r, lifted, padic_log(lifted)))
-    return logs
+    deriv = [k * c for k, c in enumerate(residual)][1:]
+    roots = [r for r in range(1, p)
+             if _horner(residual, r) % p == 0 and _horner(deriv, r) % p]
+    if len(roots) != length:
+        return ("residual polynomial does not split into distinct linear "
+                f"factors over F_{p}; only Q_{p}-rational simple roots are "
+                f"lifted")
+    return LaurentPolynomial(dict(enumerate(scaled)), f.variable), roots
 
 
 def pure_log_mahler_closed_form(f: LaurentPolynomial, p: int,
                                 precision: int = 40) -> PurePadicResult:
-    """Jensen form log_p a_0 + sum_{|alpha|_p > 1} log_p alpha through
-    Hensel-lifted roots in Q_p, or through the coefficient-ratio norm
-    shortcut when all roots lie outside the unit disk."""
+    """Jensen form log_p a_0 + sum_{|alpha|_p > 1} log_p alpha, routed by
+    the Newton polygon: through Hensel-lifted roots in Q_p when every
+    positive segment has an integer slope and a residual that splits into
+    distinct linear factors over F_p^*; otherwise, when all roots lie
+    outside the unit disk, through the coefficient-ratio norm shortcut;
+    otherwise refused with the first unliftable segment's reason."""
     f = _defined_integral(f, p, "closed form")
+    if precision < 1:
+        raise PrecisionError("precision must be at least 1 digit")
     polygon = NewtonPolygon.of(f, p)
-    lead = int(f.leading_coefficient)
-    outside = [(slope, length) for slope, length in polygon.segments if slope > 0]
-    try:
-        total = padic_log_of_int(lead, p, precision)
+    outside = [(slope, length) for slope, length in polygon.segments
+               if slope > 0]
+    lifts = [_segment_residual_roots(f, p, slope, length)
+             for slope, length in outside]
+    refusal = next((x for x in lifts if isinstance(x, str)), None)
+    if refusal is None:
+        total = padic_log_of_int(int(f.leading_coefficient), p, precision)
         roots_used = []
-        for slope, length in outside:
-            for r, lifted, log_root in _segment_root_logs(f, p, slope, length,
-                                                          precision):
-                total = total + log_root
+        for (slope, _), (g, roots) in zip(outside, lifts):
+            for r in roots:
+                lifted = hensel_lift(g, p, r, 1, precision)
+                # the root of f is lifted / p^m; the Iwasawa branch kills p^m
+                total = total + padic_log(lifted)
                 roots_used.append(f"s={lifted.digit_string(12)} (res {r}, "
                                   f"slope {slope})")
         return PurePadicResult(p, total, "closed_form",
                                {"segments": [(str(s), l) for s, l in outside],
                                 "lifted_roots": roots_used})
-    except DomainError:
-        # norm shortcut: if every root is outside the unit disk their
-        # product is (up to sign) trailing/leading, so the log sum is
-        # log_p(trailing) - log_p(leading) and the measure collapses to
-        # log_p(trailing coefficient)
-        all_outside = bool(polygon.segments) and \
-            all(s > 0 for s, _ in polygon.segments)
-        if not all_outside:
-            raise
-        trail = int(f.trailing_coefficient)
-        return PurePadicResult(p, padic_log_of_int(trail, p, precision),
-                               "norm_shortcut",
-                               {"note": "all roots outside the unit disk; "
-                                        "used the coefficient-ratio norm"})
+    if not all(slope > 0 for slope, _ in polygon.segments):
+        raise DomainError(refusal)
+    # every root is outside the unit disk, so their product is (up to sign)
+    # trailing/leading, the log sum is log_p(trailing) - log_p(leading) and
+    # the measure collapses to log_p(trailing coefficient)
+    trail = int(f.trailing_coefficient)
+    return PurePadicResult(p, padic_log_of_int(trail, p, precision),
+                           "norm_shortcut",
+                           {"note": "all roots outside the unit disk; "
+                                    "used the coefficient-ratio norm"})
+
+
+def closed_form_agreement(estimate: PurePadicResult,
+                          closed: PurePadicResult):
+    """The p-adic digits on which the estimator and the closed form agree.
+    They must agree on every digit both certify: ConvergenceError
+    otherwise."""
+    agreement = estimate.value.agreement_valuation(closed.value)
+    floor = min(estimate.value.abs_precision, closed.value.abs_precision)
+    if agreement < floor:
+        raise ConvergenceError(
+            f"purely p-adic estimator and closed form disagree at digit "
+            f"{agreement} < {floor}")
+    return agreement
 
 
 def pure_entropy(f: LaurentPolynomial, p: int, n_budget: int = 120,
@@ -244,16 +245,12 @@ def pure_entropy(f: LaurentPolynomial, p: int, n_budget: int = 120,
     data = dict(result.data)
     try:
         closed = pure_log_mahler_closed_form(f, p, precision)
-        agreement = result.value.agreement_valuation(closed.value)
-        floor = min(result.value.abs_precision, closed.value.abs_precision)
-        if agreement < floor:
-            raise ConvergenceError(
-                f"purely p-adic entropy and measure disagree at digit "
-                f"{agreement} < {floor}")
-        data["measure_agreement_digits"] = float(agreement) \
-            if agreement != math.inf else "exact"
     except DomainError:
         data["measure_agreement_digits"] = "closed form unavailable"
+    else:
+        agreement = closed_form_agreement(result, closed)
+        data["measure_agreement_digits"] = float(agreement) \
+            if agreement != math.inf else "exact"
     return PurePadicResult(p, result.value, "estimator", data)
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from padic_mahler import cli
 from padic_mahler.cli import main
 from padic_mahler.corpus import (
     branched_cover_homology_order,
@@ -9,6 +10,7 @@ from padic_mahler.corpus import (
     verify_corpus,
 )
 from padic_mahler.errors import DomainError
+from padic_mahler.padics import PadicNumber
 from padic_mahler.parsing import parse_laurent
 
 P = parse_laurent
@@ -149,16 +151,25 @@ class TestCorpus:
         assert "nodelta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, problem", [
-        ("{", "not valid JSON"),
-        ('{"schema_version": 1}', '"records" must be a list'),
-        ("[1]", "must be a JSON object"),
+        (b"{", "not valid JSON"),
+        (b"\xff", "not valid JSON"),
+        (b'{"schema_version": 1}', '"records" must be a list'),
+        (b"[1]", "must be a JSON object"),
     ])
     def test_malformed_corpus_file_is_a_domain_error(self, tmp_path, capsys,
                                                      text, problem):
         path = tmp_path / "corpus.json"
-        path.write_text(text)
+        path.write_bytes(text)
         assert main(["verify-corpus", "--corpus", str(path)]) == 4
         assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_corpus_path_is_a_domain_error(self, tmp_path, capsys,
+                                                      name):
+        # a nonexistent file, then a directory
+        path = tmp_path / name
+        assert main(["verify-corpus", "--corpus", str(path)]) == 4
+        assert f"cannot read corpus {path}" in capsys.readouterr().err
 
     def test_iwasawa_claim_runs_consistency_check(self, tmp_path):
         # 4(t-1)^2 has a multiple zero at t = 1, which verify_consistency
@@ -216,6 +227,23 @@ class TestCli:
                      "--precision", "24"]) == 0
         out = capsys.readouterr().out
         assert "agreement" in out
+
+    def test_mp_contradiction_is_a_convergence_error(self, capsys,
+                                                     monkeypatch):
+        # a closed form that contradicts the estimator's certified digits
+        # must stop mp with exit 6, not print both
+        real = cli.pure_log_mahler_closed_form
+
+        def contradicting(f, p, precision):
+            cf = real(f, p, precision)
+            cf.value = cf.value + PadicNumber.from_int(1, p, precision)
+            return cf
+
+        monkeypatch.setattr(cli, "pure_log_mahler_closed_form", contradicting)
+        assert main(["mp", "--poly", "2*t^2-3*t+2", "--prime", "2",
+                     "--precision", "24"]) == 6
+        captured = capsys.readouterr()
+        assert "disagree" in captured.err and "closed form" not in captured.out
 
     def test_hbar(self, capsys):
         assert main(["hbar", "--poly", "2*t^2-5*t+2", "--prime", "2",

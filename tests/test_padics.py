@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padic_mahler.errors import DomainError, HenselError, PrecisionError
-from padic_mahler.ntheory import vp_int
+from padic_mahler.ntheory import INFINITY, vp_int
 from padic_mahler.padics import (
     PadicNumber,
     _unit_root_factor,
@@ -229,3 +229,55 @@ class TestLog:
         expected_residue = unit * p**v % p**K
         got = padic_log_of_int(6, p, 12)
         assert got.unit * p**got.v % p**K == expected_residue % p**K
+
+
+def _series_log_one_plus(z):
+    """log(1 + z) summed one PadicNumber term at a time, for v(z) >= 1
+    (>= 2 at p = 2): the reference the integer series must reproduce."""
+    p, K = z.p, z.abs_precision
+    if z.is_zero:
+        return PadicNumber.zero(p, z.v)
+    total, zk, k = PadicNumber.zero(p, INFINITY), z, 1
+    while not (k * z.v - (k.bit_length() + 2) >= K and k > 4):
+        vk = vp_int(k, p)
+        term = zk * PadicNumber.from_int(k // p**vk, p, zk.N + 4).inverse()
+        term = PadicNumber(p, term.v - vk, term.unit, term.N)
+        total = total + (term if k % 2 else -term)
+        zk, k = zk * z, k + 1
+    return total.truncate(K)
+
+
+def _teichmuller_quotient_log(x):
+    """log u = log(u / omega(u)), omega the Teichmuller lift (odd p)."""
+    p, N = x.p, x.N
+    u1 = PadicNumber(p, 0, x.unit, N) * teichmuller(x.unit % p, p, N).inverse()
+    return _series_log_one_plus(u1 - PadicNumber.one(p, N))
+
+
+def _square_log(x):
+    """log u = log(u^2) / 2 with u^2 = 1 mod 8 (p = 2)."""
+    N = x.N
+    body = _series_log_one_plus(PadicNumber(2, 0, x.unit, N) ** 2
+                                - PadicNumber.one(2, N))
+    if body.is_zero:
+        return PadicNumber.zero(2, body.v - 1)
+    return PadicNumber(2, body.v - 1, body.unit, body.N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 40, 400])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_log_matches_deleted_routes(p, N):
+    # padic_log reads log u off the 1-unit u^e; the routes it replaced
+    # divided by the Teichmuller lift (odd p) or squared (p = 2)
+    rng = random.Random(1000 * p + N)
+    mod = p**N
+    near_one = [1, mod - 1] + [(1 + p**k * rng.randrange(1, p + 1)) % mod
+                               for k in (1, 2, N // 2, N - 1, N)]
+    units = near_one + [rng.randrange(1, mod) for _ in range(4)]
+    reference = _square_log if p == 2 else _teichmuller_quotient_log
+    for u in units:
+        if u % p == 0:
+            u += 1
+        x = PadicNumber(p, rng.randrange(-3, 4), u, N)
+        got, want = padic_log(x), reference(x)
+        assert (got.v, got.unit, got.N) == (want.v, want.unit, want.N), u

@@ -1,15 +1,25 @@
 """Hypothesis property suites for the exact kernels."""
 
+from fractions import Fraction
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padic_mahler.entropy import entropy_padic
-from padic_mahler.iwasawa import mu_invariant
+from padic_mahler.iwasawa import (
+    _divisible_by_p_power_cyclotomic,
+    lambda_invariant,
+    mu_invariant,
+)
 from padic_mahler.mahler import mahler_padic
 from padic_mahler.ntheory import vp, vp_int
 from padic_mahler.padics import PadicNumber, padic_log, teichmuller
 from padic_mahler.parsing import parse_polynomial
-from padic_mahler.polynomials import LaurentPolynomial, normalize
+from padic_mahler.polynomials import (
+    LaurentPolynomial,
+    normalize,
+    power_minus_one,
+)
 from padic_mahler.resultants import (
     cyclic_resultant,
     cyclic_resultant_sweep,
@@ -133,6 +143,32 @@ def test_tower_valuation_matches_exact_resultant(inputs):
     exact = cyclic_resultant(f, n, "ones")
     assume(exact != 0)
     assert cyclic_resultant_valuation(f, n, p) == vp_int(exact, p)
+
+
+def _polygon_lambda(A, p):
+    """lambda as the Newton polygon of B = A(1+T)/p^mu reads it: the order
+    of B at T = 0 plus the lengths of its negative-slope segments."""
+    A = normalize(A)
+    mu = gauss_norm_valuation(A, p)
+    one_plus_t = LaurentPolynomial({0: 1, 1: 1})
+    B = LaurentPolynomial.zero()
+    for e, c in A.terms.items():
+        B = B + one_plus_t**e * c
+    B = B * Fraction(1, p**mu)
+    if B.is_constant:
+        return 0
+    return B.low_degree + sum(length for slope, length
+                              in NewtonPolygon.of(B, p).segments if slope < 0)
+
+
+@settings(max_examples=60)
+@given(laurent_polynomials(max_deg=6, height=30), st.integers(0, 2),
+       st.integers(0, 3), st.sampled_from([2, 3, 5, 7]))
+def test_lambda_is_the_polygon_reading(f, mu, zeros_at_one, p):
+    # content p^mu and a zero of order zeros_at_one at t = 1 (T = 0)
+    A = f * p**mu * power_minus_one(1) ** zeros_at_one
+    assume(_divisible_by_p_power_cyclotomic(normalize(A), p) is None)
+    assert lambda_invariant(A, p) == _polygon_lambda(A, p)
 
 
 @given(st.fractions(), st.fractions(), primes)

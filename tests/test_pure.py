@@ -129,6 +129,25 @@ class TestClosedForm:
         assert cf.method == "norm_shortcut"
         assert cf.value.is_zero
 
+    def test_route_is_read_off_the_polygon(self):
+        # every root outside the disk and every segment liftable: the
+        # Hensel route comes first, the norm shortcut is only a fallback
+        f = P("(2*t-1)*(4*t-3)")
+        assert pure_log_mahler_closed_form(f, 2, 16).method == "closed_form"
+        # slopes 1 and 2 at p = 2: the first segment lifts, the second is
+        # the inseparable (s - 1)^2, and every root is outside the disk
+        f = P("(2*t-1)*(4*t-1)^2")
+        assert pure_log_mahler_closed_form(f, 2, 16).method == "norm_shortcut"
+        # the root 2 inside the disk rules the shortcut out, so the
+        # inseparable segment's reason is the refusal
+        with pytest.raises(DomainError, match="residual polynomial"):
+            pure_log_mahler_closed_form(f * P("t-2"), 2, 16)
+
+    def test_precision_is_checked_before_the_route(self):
+        # the polygon of 2*t^3 + t + 2 refuses, but precision comes first
+        with pytest.raises(PrecisionError):
+            pure_log_mahler_closed_form(P("2*t^3 + t + 2"), 2, 0)
+
 
 class TestPureEntropy:
     def test_monic_guard(self):
