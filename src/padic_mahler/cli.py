@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     PrecisionError,
 )
-from .iwasawa import fit_invariants, lambda_invariant, mu_invariant
+from .iwasawa import verify_consistency
 from .mahler import mahler_euclidean, mahler_padic, resultant_limit_estimate
 from .ntheory import INFINITY
 from .parsing import parse_laurent, parse_polynomial
@@ -152,14 +152,13 @@ def _run(args) -> int:
         return 0
 
     if args.command == "iwasawa":
-        inv = fit_invariants(poly, args.prime, args.rmax)
-        lam = lambda_invariant(poly, args.prime)
-        mu = mu_invariant(poly, args.prime)
+        rep = verify_consistency(poly, args.prime, args.rmax)
+        inv = rep.fitted
         payload = inv.to_dict()
-        payload["analytic"] = {"lambda": lam, "mu": mu}
+        payload["analytic"] = rep.to_dict()["analytic"]
         _emit(args, payload,
               f"lambda={inv.lam} mu={inv.mu} nu={inv.nu} r0={inv.r0} "
-              f"(analytic lambda={lam} mu={mu})")
+              f"(analytic lambda={rep.analytic_lambda} mu={rep.analytic_mu})")
         return 0
 
     if args.command == "entropy":

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import mpmath
+
 from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .ntheory import INFINITY, check_prime, vp_int
 from .polynomials import LaurentPolynomial, normalize, squarefree_split
@@ -48,10 +50,6 @@ class LogMeasure:
     def infinite(cls, value: float, error: float) -> "LogMeasure":
         return cls(INFINITY, value, error, None)
 
-    @property
-    def measure(self) -> float:
-        return math.exp(self.value)
-
     def to_dict(self):
         place = "inf" if self.place == INFINITY else self.place
         out = {"place": place, "log_value": self.value, "abs_error": self.error}
@@ -60,68 +58,85 @@ class LogMeasure:
         return out
 
 
-def _root_contributions(roots, radii):
+def _root_contributions(roots, radii, log=math.log):
     """(sum of log max(|z|,1), certified error bound, number of logs
-    summed)."""
+    summed), in the arithmetic of the roots: float, or mpmath with
+    ``log=mpmath.log``.  (None, inf, 0) unless the disks are bounded and
+    pairwise disjoint, since only then does each hold exactly one root."""
+    if not all(math.isfinite(b) for b in radii) or not all(
+            abs(roots[j] - roots[k]) > radii[j] + radii[k]
+            for k in range(len(roots)) for j in range(k)):
+        return None, math.inf, 0
     total = 0.0
     err = 0.0
     count = 0
     for z, b in zip(roots, radii):
         r = abs(z)
-        if not math.isfinite(b):
-            return None, math.inf, 0
         if r + b <= 1.0:
             continue
-        total += math.log(max(r, 1.0))
+        total += log(max(r, 1.0))
         count += 1
-        lo = max(r - b, 1e-300)
-        err += math.log(max(r + b, 1.0)) - math.log(max(lo, 1.0))
+        err += log(max(r + b, 1.0)) - log(max(r - b, 1.0))
     return total, err, count
 
 
 def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     """Euclidean log Mahler measure, certified to absolute error <= tol.
 
-    The error bound covers the root enclosures and, as a rounding
-    allowance, (k + 1) ulp(M) for the k float logs summed, M the largest
-    magnitude among them and their partial sums; it is never 0.
+    log M(f) = log|lead f| + sum_i i * log M(a_i) over Yun's squarefree
+    split f = lead * prod a_i^i, with one root pass per distinct factor.
+    A factor is measured from its float64 roots when they certify its
+    share of tol, else from its polished roots at the polish precision,
+    the error rounded outward to float.  The error bound covers the root
+    enclosures and, as a rounding allowance, (k + 1) ulp(M) for the k float
+    roundings (each root log of a_i counted i times), M the largest
+    magnitude among the logs and the partial sums; it is never 0.  A factor
+    whose coefficients do not fit float64 is refused with ConvergenceError.
     """
     if f.is_zero:
         raise ZeroPolynomialError("Mahler measure of the zero polynomial")
     if not tol > 0:
         raise DomainError("tolerance must be positive")
-    f = normalize(f)
-    value = 0.0
+    # logs of the exact integers, so no size of coefficient overflows
+    lead = abs(f.leading_coefficient)
+    num_log, den_log = math.log(lead.numerator), math.log(lead.denominator)
+    value = num_log - den_log
     error = 0.0
-    logs = 0        # float logs summed into value
-    peak = 0.0      # largest magnitude among them and the partial sums
-    # split into squarefree factors (their product is exactly f) so the
-    # root finder never meets a repeated root, where its residual bound
-    # could not certify anything
-    parts = squarefree_split(f)
-    budget = tol / (2.0 * len(parts))
-    for part in parts:
-        lead_log = math.log(abs(float(part.leading_coefficient)))
-        value += lead_log
-        logs += 1
-        peak = max(peak, abs(lead_log), abs(value))
-        if part.degree == 0:
-            continue
-        coeffs = part.coefficients_ascending()
-        froots, fradii = aberth_roots([float(c) for c in coeffs])
-        contrib, err, count = _root_contributions(froots, fradii)
-        if contrib is None or err > budget:
-            digits = max(25, int(-math.log10(tol)) + 12)
-            froots, fradii = polish_roots(coeffs, froots, digits)
-            contrib, err, count = _root_contributions(froots, fradii)
-            if contrib is None or err > budget:
+    logs = 2        # float roundings in value
+    peak = max(num_log, den_log)
+    pairs = squarefree_split(f)
+    for a, i in pairs:
+        budget = tol / (2.0 * len(pairs) * i)
+        coeffs = a.coefficients_ascending()
+        try:
+            roots, radii = aberth_roots([float(c) for c in coeffs])
+        except OverflowError:
+            raise ConvergenceError(
+                "a squarefree factor has coefficients beyond float64") from None
+        contrib, err, count = _root_contributions(roots, radii)
+        if err > budget:
+            digits = max(25, int(-math.log10(budget)) + 12)
+            roots, radii = polish_roots(coeffs, roots, digits)
+            with mpmath.workdps(digits + 10):
+                exact, err, count = _root_contributions(roots, radii,
+                                                        mpmath.log)
+                if exact is not None:
+                    contrib = float(exact)
+                    # the rounding to float, and of each working-precision
+                    # log and sum
+                    err = math.nextafter(float(
+                        err + abs(exact - contrib)
+                        + 4 * (count + 1) * mpmath.mp.eps * (exact + err + 1)),
+                        math.inf)
+            if err > budget:
                 raise ConvergenceError(
                     "root finder could not certify the requested tolerance")
-        value += contrib
-        error += err
-        logs += count
-        # the root logs are >= 0, so contrib bounds them and their partial sums
-        peak = max(peak, contrib, abs(value))
+        value += i * contrib
+        error += i * err
+        logs += i * count + 1
+        # the root logs are >= 0, so i * contrib bounds them and their
+        # partial sums
+        peak = max(peak, i * contrib, abs(value))
     error += (logs + 1) * math.ulp(peak)
     if error > tol:
         raise ConvergenceError(

@@ -50,10 +50,6 @@ class LaurentPolynomial:
     def constant(cls, c, variable: str = "t") -> "LaurentPolynomial":
         return cls({0: _coerce(c)}, variable)
 
-    @classmethod
-    def variable_power(cls, e: int = 1, variable: str = "t") -> "LaurentPolynomial":
-        return cls({e: Fraction(1)}, variable)
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -241,21 +237,23 @@ class LaurentPolynomial:
                 LaurentPolynomial(r, self.variable))
 
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact quotient up to a unit: raises DomainError on nonzero remainder."""
+        """Exact Laurent quotient: raises DomainError on nonzero remainder."""
         q, r = self.divmod_polynomial(divisor)
         if not r.is_zero:
             raise DomainError("division is not exact")
-        return q
+        # divmod_polynomial strips the powers of t; put them back
+        return q.shift(self.low_degree - divisor.low_degree)
 
     def gcd(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         """Monic gcd over the rationals of the shifted ordinary polynomials."""
-        a = self.shift(-self.low_degree) if not self.is_zero else self
-        b = other.shift(-other.low_degree) if not other.is_zero else other
+        a, b = self, other
         while not b.is_zero:
             _, r = a.divmod_polynomial(b)
             a, b = b, r
         if a.is_zero:
             return a
+        # the last remainder may carry a power of t, which is a unit here
+        a = a.shift(-a.low_degree)
         return a * (1 / a.leading_coefficient)
 
     # -- printing -----------------------------------------------------
@@ -421,15 +419,29 @@ def p_power_cyclotomic(p: int, r: int, variable: str = "t") -> LaurentPolynomial
 
 
 def squarefree_split(f: LaurentPolynomial):
-    """Factor f (up to units) into a list of squarefree polynomials whose
-    product is f; used so root finding only ever sees simple roots."""
+    """Yun's squarefree split of normalize(f) (Yun 1976; von zur Gathen-
+    Gerhard, Modern Computer Algebra, 14.6): pairs (a_i, i), i increasing,
+    the a_i monic, squarefree, nonconstant and pairwise coprime, with
+    normalize(f) = lead * prod a_i^i ([] for a constant f)."""
     f = normalize(f)
+    f = f * (1 / f.leading_coefficient)
     if f.degree == 0:
-        return [f]
-    d = f.gcd(f.derivative())
-    if d.degree == 0:
-        return [f]
-    cofactor = f.divide_exact(d)
-    # restore the exact factorization f = cofactor * d including content
-    rest = f.divide_exact(cofactor)
-    return [cofactor] + squarefree_split(rest)
+        return []
+    df = f.derivative()
+    g = f.gcd(df)
+    if g.degree == 0:
+        return [(f, 1)]
+    # b_i = prod_{j >= i} a_j and d_i = sum_{j > i} (j - i) a_j' b_i / a_j,
+    # so gcd(b_i, d_i) = a_i
+    b = f.divide_exact(g)
+    d = df.divide_exact(g) - b.derivative()
+    pairs = []
+    i = 1
+    while b.degree > 0:
+        a = b.gcd(d)
+        b = b.divide_exact(a)
+        d = d.divide_exact(a) - b.derivative()
+        if a.degree > 0:
+            pairs.append((a, i))
+        i += 1
+    return pairs

@@ -6,7 +6,7 @@ Each returned root carries the classical residual radius
 n * |f(z)| / |f'(z)|: a disk of that radius around z contains a root of f.
 When float64 cannot certify the caller's tolerance the roots are polished
 with a fixed number of high-precision Newton steps (mpmath) and the radii
-recomputed.
+recomputed, both kept as mpmath values.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ def _horner(coeffs, z):
     return acc
 
 
-def aberth_roots(coeffs):
-    """All complex roots of sum coeffs[i] * t^i (float64 coefficients,
-    len >= 2, nonzero leading and constant term).  Returns (roots, radii)."""
-    n = len(coeffs) - 1
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
+def aberth_roots(monic):
+    """All complex roots of the monic sum monic[i] * t^i (float64
+    coefficients, len >= 2, nonzero constant term).  Returns (roots,
+    radii)."""
+    n = len(monic) - 1
     deriv = [i * c for i, c in enumerate(monic)][1:]
     cauchy = 1.0 + max(abs(c) for c in monic[:-1])
     radius = math.sqrt(cauchy)
@@ -75,17 +74,14 @@ def aberth_roots(coeffs):
     return z, radii
 
 
-def polish_roots(int_coeffs, roots, digits):
+def polish_roots(coeffs, roots, digits):
     """Newton-polish approximate roots at `digits` decimal digits from the
-    exact integer/rational coefficients; returns (roots, radii) as mpmath
-    values converted back to (complex, float)."""
-    n = len(int_coeffs) - 1
+    exact rational coefficients of a monic polynomial; returns (roots,
+    radii) as mpmath values, so a caller working at `digits` + 10 loses
+    none of them."""
+    n = len(coeffs) - 1
     with mpmath.workdps(digits + 10):
-        cs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-              if hasattr(c, "numerator") and hasattr(c, "denominator")
-              else mpmath.mpf(c) for c in int_coeffs]
-        lead = cs[-1]
-        monic = [c / lead for c in cs]
+        monic = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
         deriv = [i * c for i, c in enumerate(monic)][1:]
         out, radii = [], []
         for z0 in roots:
@@ -102,8 +98,8 @@ def polish_roots(int_coeffs, roots, digits):
             fv = abs(_horner(monic, z))
             dv = abs(_horner(deriv, z))
             if dv == 0:
-                radii.append(math.inf)
+                radii.append(mpmath.inf)
             else:
-                radii.append(float(n * fv / dv) + 10.0 ** (-(digits + 2)))
-            out.append(complex(z))
+                radii.append(n * fv / dv + mpmath.mpf(10) ** (-(digits + 2)))
+            out.append(z)
     return out, radii

@@ -56,14 +56,6 @@ class NewtonPolygon:
             segments.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
         return cls(p, tuple(hull), tuple(segments))
 
-    def root_valuations(self):
-        """Sorted multiset of v_p(alpha) over the roots of f: a segment of
-        slope m and length l contributes l copies of -m."""
-        vals = []
-        for slope, length in self.segments:
-            vals.extend([-slope] * length)
-        return sorted(vals)
-
     def has_zero_slope(self) -> bool:
         return any(slope == 0 for slope, _ in self.segments)
 

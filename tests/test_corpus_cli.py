@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -274,6 +275,24 @@ class TestCli:
 
     def test_domain_error_exit_code(self, capsys):
         assert main(["iwasawa", "--poly", "t^2+1", "--prime", "2"]) == 4
+
+    def test_iwasawa_multiple_zero_at_one_exit_code(self, capsys):
+        # the one consistency path refuses what the homology model excludes
+        assert main(["iwasawa", "--poly", "4*t^2-8*t+4", "--prime", "2"]) == 4
+        assert "multiple zero" in capsys.readouterr().err
+
+    def test_huge_leading_coefficient(self, capsys):
+        assert main(["--format", "json", "mahler",
+                     "--poly", "10^400*t-1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert abs(payload["log_value"] - 400 * math.log(10)) <= 1e-9
+        assert main(["entropy", "--poly", "10^400*t-1"]) == 0
+        assert "h_2 = 400 * log 2, h_5 = 400 * log 5" in \
+            capsys.readouterr().out
+
+    def test_huge_monic_coefficient_exit_code(self, capsys):
+        assert main(["mahler", "--poly", "t-10^400"]) == 6
+        assert "float64" in capsys.readouterr().err
 
     def test_missing_poly_exit_code(self, capsys):
         assert main(["mahler", "--place", "inf"]) == 4

@@ -1,10 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from padic_mahler import mahler
 from padic_mahler.errors import (
     ConvergenceError,
     DomainError,
@@ -19,6 +21,7 @@ from padic_mahler.ntheory import INFINITY, vp_int
 from padic_mahler.parsing import parse_laurent
 from padic_mahler.polynomials import LaurentPolynomial, normalize
 from padic_mahler.resultants import cyclic_resultant
+from padic_mahler.roots import aberth_roots
 
 P = parse_laurent
 
@@ -104,6 +107,63 @@ class TestEuclidean:
         mg = mahler_euclidean(g, tol)
         mfg = mahler_euclidean(f * g, tol)
         assert abs(mfg.value - mf.value - mg.value) <= 2 * tol
+
+    def test_repeated_factor_is_weighted(self):
+        # m(g^k h) = k m(g) + m(h)
+        g, h, k, tol = P("2*t^2 - 5*t + 2"), P("t^3 - t - 1"), 5, 1e-11
+        mg, mh = mahler_euclidean(g, tol), mahler_euclidean(h, tol)
+        assert abs(mahler_euclidean(g**k * h, tol).value
+                   - k * mg.value - mh.value) <= (k + 2) * tol
+
+    def test_one_root_pass_per_distinct_factor(self, monkeypatch):
+        calls = []
+
+        def counting(coeffs):
+            calls.append(len(coeffs) - 1)
+            return aberth_roots(coeffs)
+
+        monkeypatch.setattr(mahler, "aberth_roots", counting)
+        f = P("t^2 - 3*t + 1") * P("t - 1")**100
+        start = time.perf_counter()
+        m = mahler_euclidean(f)
+        elapsed = time.perf_counter() - start
+        assert sorted(calls) == [1, 2]
+        assert abs(m.value - math.log((3 + math.sqrt(5)) / 2)) <= 1e-12
+        assert elapsed < 1.0
+
+    def test_high_multiplicity(self):
+        # (t-1)^1100 once exhausted the recursion limit; built from binomial
+        # coefficients because parsing the power takes seconds
+        f = LaurentPolynomial(
+            {k: math.comb(1100, k) * (-1) ** (1100 - k) for k in range(1101)})
+        start = time.perf_counter()
+        m = mahler_euclidean(f)
+        assert time.perf_counter() - start < 1.0
+        assert abs(m.value) <= m.error
+        # the polished root on the unit circle carries its disk, not an ulp
+        assert m.error > 1e-300
+
+    @pytest.mark.parametrize("text, tol", [
+        ("t - 100000000000000000001/100000000000000000000", 1e-16),
+        ("(t-1)*(t-100000000000000000001/100000000000000000000)", 1e-13)])
+    def test_polished_enclosure_is_honest(self, text, tol):
+        # one root at 1 + 10^-20, just off the unit circle: float64 reads
+        # it as 1, so only the polished value can keep its log
+        truth = math.log1p(1e-20)
+        try:
+            m = mahler_euclidean(P(text), tol)
+        except ConvergenceError:
+            return
+        assert abs(m.value - truth) <= m.error <= tol
+
+    def test_overlapping_disks_certify_nothing(self):
+        # two disks that meet may share one root and miss another
+        assert mahler._root_contributions(
+            [1.5, 1.5 + 1e-9], [1e-6, 1e-6]) == (None, math.inf, 0)
+        total, err, count = mahler._root_contributions(
+            [1.5, 2.5], [1e-6, 1e-6])
+        assert abs(total - math.log(3.75)) <= 1e-15 and 0 < err < 1e-5
+        assert count == 2
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):

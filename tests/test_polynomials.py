@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -155,9 +156,19 @@ class TestAllOnes:
             all_ones_polynomial(0)
 
     def test_telescopes(self):
-        t = LaurentPolynomial.variable_power()
+        t = LaurentPolynomial({1: 1})
         for n in range(1, 9):
             assert all_ones_polynomial(n) * (t - 1) == t**n - 1
+
+
+class TestGcd:
+    def test_coprime_gives_one(self):
+        # the last Euclidean remainder here is -t, a unit, not a common factor
+        assert parse_laurent("t^2 + 1").gcd(parse_laurent("t^2 + t + 1")) == 1
+
+    def test_shifted_inputs(self):
+        f, g = parse_laurent("t^3*(t-1)"), parse_laurent("t^-2*(t-1)*(t+5)")
+        assert f.gcd(g) == parse_laurent("t - 1")
 
 
 class TestSquarefreeSplit:
@@ -169,15 +180,45 @@ class TestSquarefreeSplit:
             if f.is_zero:
                 continue
             f = normalize(f)
-            parts = squarefree_split(f)
-            product = LaurentPolynomial.constant(1)
-            for part in parts:
-                product = product * part
+            product = LaurentPolynomial.constant(f.leading_coefficient)
+            for part, i in squarefree_split(f):
+                product = product * part**i
             assert product == f
 
     def test_repeated_roots_separated(self):
         f = normalize(parse_laurent("4*t^4 - 8*t^2 + 4"))
-        parts = squarefree_split(f)
-        for part in parts:
-            if part.degree >= 1:
-                assert part.gcd(part.derivative()).degree == 0
+        pairs = squarefree_split(f)
+        for part, _ in pairs:
+            assert part.degree >= 1
+            assert part.gcd(part.derivative()).degree == 0
+        assert [(str(a), i) for a, i in pairs] == [("t^2 - 1", 2)]
+
+    def test_constant_has_no_factors(self):
+        assert squarefree_split(LaurentPolynomial.constant(-6)) == []
+
+    def test_no_recursion_at_high_multiplicity(self):
+        # (t-1)^1100 once exhausted the recursion limit
+        f = LaurentPolynomial(
+            {k: math.comb(1100, k) * (-1) ** (1100 - k) for k in range(1101)})
+        assert [(str(a), i) for a, i in squarefree_split(f)] == [("t - 1", 1100)]
+
+    def test_matches_sympy_sqf_list(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def to_sympy(a):
+            return sympy.Poly(list(reversed(a.coefficients_ascending())), x,
+                              domain=sympy.QQ)
+
+        rng = random.Random(11)
+        for _ in range(40):
+            f = LaurentPolynomial.constant(rng.randint(1, 6))
+            for _ in range(rng.randint(1, 4)):
+                g = LaurentPolynomial(
+                    {e: rng.randint(-4, 4) for e in range(rng.randint(2, 4))})
+                if not g.is_zero:
+                    f = f * g ** rng.randint(1, 6)
+            f = normalize(f)
+            _, expected = sympy.sqf_list(to_sympy(f))
+            assert {i: to_sympy(a) for a, i in squarefree_split(f)} == \
+                {i: a.monic() for a, i in expected}

@@ -19,6 +19,7 @@ from padic_mahler.polynomials import (
     LaurentPolynomial,
     normalize,
     power_minus_one,
+    squarefree_split,
 )
 from padic_mahler.resultants import (
     cyclic_resultant,
@@ -79,6 +80,30 @@ def test_entropy_is_positive_polygon_rise(f, p):
     segments = NewtonPolygon.of(f, p).segments
     rise = sum(slope * length for slope, length in segments if slope > 0)
     assert entropy_padic(f, p).coefficient == rise
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(laurent_polynomials(max_deg=3, height=5,
+                                              laurent=False),
+                          st.integers(1, 6)), min_size=1, max_size=3))
+def test_squarefree_split_is_yun(factors):
+    f = LaurentPolynomial.constant(1)
+    for g, k in factors:
+        f = f * g**k
+    f = normalize(f)
+    pairs = squarefree_split(f)
+    product = LaurentPolynomial.constant(f.leading_coefficient)
+    for a, i in pairs:
+        product = product * a**i
+    assert product == f
+    for a, _ in pairs:
+        assert a.degree >= 1 and a.leading_coefficient == 1
+        assert a.gcd(a.derivative()).degree == 0
+    for j, (a, _) in enumerate(pairs):
+        for b, _ in pairs[:j]:
+            assert a.gcd(b).degree == 0
+    multiplicities = [i for _, i in pairs]
+    assert multiplicities == sorted(set(multiplicities))
 
 
 @settings(max_examples=40)
