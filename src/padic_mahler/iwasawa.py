@@ -11,12 +11,12 @@ demanding exact equality rather than least squares.
 Their agreement is the consistency theorem this module re-proves on every
 input it is given.
 
-Each tower valuation is split along the Newton polygon (see
-resultants.cyclic_resultant_valuation): e_r = (p^r - 1) * mu +
-v_p R(A0, nu_{p^r}), with A0 the unit-root factor of A / p^mu.  The mu*p^r
-term is that (n - 1) * mu term (its -mu lands in nu), and lambda*r + nu
-comes from A0 alone, so the work per level does not grow with mu or with
-v_p of the leading coefficient.
+The tower is one call of resultants.cyclic_resultant_valuation on the
+chain p, p^2, ..., p^r_max: e_r = (p^r - 1) * mu + v_p R(A0, nu_{p^r}),
+with A0 the unit-root factor of A / p^mu, lifted once.  The mu*p^r term is
+that (n - 1) * mu term (its -mu lands in nu), and lambda*r + nu comes from
+A0 alone, walked up by p-th powers: nu_{p^(r+1)}(C) = nu_p(C^(p^r))
+nu_{p^r}(C) for the companion matrix C of A0.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def tower_order_valuations(A: LaurentPolynomial, p: int, r_max: int):
     """e_r = v_p(|R(A, nu_{p^r})|) for r = 1..r_max, exactly."""
     A = _prepare(A, p)
     _require_nonzero_tower_resultants(A, p)
-    return [cyclic_resultant_valuation(A, p**r, p)
-            for r in range(1, r_max + 1)]
+    return cyclic_resultant_valuation(
+        A, [p**r for r in range(1, r_max + 1)], p)
 
 
 def fit_invariants(A: LaurentPolynomial, p: int, r_max: int = 6) -> IwasawaInvariants:

@@ -91,7 +91,8 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     enclosures and, as a rounding allowance, (k + 1) ulp(M) for the k float
     roundings (each root log of a_i counted i times), M the largest
     magnitude among the logs and the partial sums; it is never 0.  A factor
-    whose coefficients do not fit float64 is refused with ConvergenceError.
+    with Fujiwara's root bound below 1 adds exactly 0; any other whose
+    coefficients do not fit float64 is refused with ConvergenceError.
     """
     if f.is_zero:
         raise ZeroPolynomialError("Mahler measure of the zero polynomial")
@@ -108,6 +109,10 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     for a, i in pairs:
         budget = tol / (2.0 * len(pairs) * i)
         coeffs = a.coefficients_ascending()
+        # Fujiwara's bound below 1: every root has |z| < 1, log M(a) = 0
+        if all(abs(c) * 2 ** (len(coeffs) - 1 - k - (k == 0)) < 1
+               for k, c in enumerate(coeffs[:-1])):
+            continue
         try:
             roots, radii = aberth_roots([float(c) for c in coeffs])
         except OverflowError:

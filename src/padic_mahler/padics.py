@@ -327,7 +327,9 @@ def _unit_root_factor(F, p: int, K: int):
     They are lifted by the quadratic Hensel step of von zur Gathen and
     Gerhard (Modern Computer Algebra, Alg. 15.10) with the monic f0 as the
     divisor, the cofactor g absorbing the degree that vanishes mod p; the
-    lift is checked (F = g f0 mod p^K) before it is returned.
+    lift is checked (F = g f0 mod p^K) before it is returned.  When every
+    root is a unit (i0 = 0, i1 = deg F) the same steps run with the
+    constant cofactor g = lead(F), and f0 is F / lead(F) mod p^K.
     """
     units = [i for i, c in enumerate(F) if c % p]
     i0, i1 = units[0], units[-1]

@@ -21,16 +21,11 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^/()]))")
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            # skip pure whitespace tails
-            if text[pos:].strip() == "":
-                break
-            bad = pos
-            while text[bad].isspace():
-                bad += 1
+        if not m:
+            bad = len(text) - len(text[pos:].lstrip())
             raise ParseError(f"unexpected character {text[bad]!r}", bad)
         number, ident, op = m.groups()
         start = m.start(1) if number else m.start(2) if ident else m.start(3)
@@ -47,7 +42,8 @@ def _tokenize(text: str):
 
 class _Parser:
     """Recursive descent over a generic sparse multivariate representation:
-    {((var, exp), ...) sorted: Fraction}."""
+    {((var, exp), ...) sorted: int or Fraction}; only a/b and negative
+    powers make Fractions, so integer arithmetic stays on ints."""
 
     def __init__(self, text: str):
         self.text = text
@@ -71,13 +67,13 @@ class _Parser:
 
     @staticmethod
     def _const(c):
-        return {(): Fraction(c)} if c != 0 else {}
+        return {(): c} if c != 0 else {}
 
     @staticmethod
     def _add(a, b):
         out = dict(a)
         for k, v in b.items():
-            s = out.get(k, Fraction(0)) + v
+            s = out.get(k, 0) + v
             if s == 0:
                 out.pop(k, None)
             else:
@@ -97,7 +93,7 @@ class _Parser:
                 for var, e in k2:
                     exps[var] = exps.get(var, 0) + e
                 key = tuple(sorted((v, e) for v, e in exps.items() if e != 0))
-                s = out.get(key, Fraction(0)) + v1 * v2
+                s = out.get(key, 0) + v1 * v2
                 if s == 0:
                     out.pop(key, None)
                 else:
@@ -118,7 +114,7 @@ class _Parser:
             raise ParseError("negative power of a non-monomial", pos)
         (key, coeff), = base.items()
         new_key = tuple(sorted((v, e * k) for v, e in key))
-        return {new_key: coeff**k}
+        return {new_key: Fraction(coeff)**k}
 
     # grammar ----------------------------------------------------------
 
@@ -130,16 +126,7 @@ class _Parser:
         return value
 
     def expression(self):
-        kind, val, _ = self.peek()
-        sign = 1
-        while kind == "op" and val in "+-":
-            self.next()
-            if val == "-":
-                sign = -sign
-            kind, val, _ = self.peek()
         value = self.term()
-        if sign < 0:
-            value = self._neg(value)
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
@@ -207,7 +194,7 @@ class _Parser:
                 return self._const(Fraction(val, dval))
             return self._const(val)
         if kind == "ident":
-            return {((val, 1),): Fraction(1)}
+            return {((val, 1),): 1}
         if kind == "op" and val == "(":
             value = self.expression()
             self.expect_op(")")

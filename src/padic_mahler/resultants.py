@@ -153,22 +153,20 @@ def _mat_add_scalar(A, s, mod=None):
 
 
 def _power_and_ones_sum(B, a, n, mod=None):
-    """(B^n, H_n, a^n) with H_n = sum_{i<n} a^(n-1-i) B^i, all exact
-    integers (reduced mod ``mod`` when given), by binary recursion."""
-    d = len(B)
+    """(B^n, H_n) with H_n = sum_{i<n} a^(n-1-i) B^i, exact integer
+    matrices (reduced mod ``mod`` when given), by binary recursion."""
     if n == 1:
-        return [row[:] for row in B], _identity(d), a
-    P, H, an = _power_and_ones_sum(B, a, n // 2, mod)
+        return [row[:] for row in B], _identity(len(B))
+    m = n // 2
+    P, H = _power_and_ones_sum(B, a, m, mod)
     # H_{2m} = (a^m I + B^m) H_m ; B^{2m} = (B^m)^2
-    H = _mat_mul(_mat_add_scalar(P, an, mod), H, mod)
+    H = _mat_mul(_mat_add_scalar(P, pow(a, m, mod), mod), H, mod)
     P = _mat_mul(P, P, mod)
-    an = an * an if mod is None else an * an % mod
     if n % 2:
-        # H_{k+1} = a^k I + B H_k ; B^{k+1} = B^k B
-        H = _mat_add_scalar(_mat_mul(B, H, mod), an, mod)
+        # H_{2m+1} = a^(2m) I + B H_{2m} ; B^{2m+1} = B^(2m) B
+        H = _mat_add_scalar(_mat_mul(B, H, mod), pow(a, 2 * m, mod), mod)
         P = _mat_mul(P, B, mod)
-        an = an * a if mod is None else an * a % mod
-    return P, H, an
+    return P, H
 
 
 def berkowitz_determinant_mod(A, mod: int) -> int:
@@ -250,7 +248,7 @@ def cyclic_resultant(f: LaurentPolynomial, n: int, variant: str = "ones") -> int
     B, a, d = _companion_setup(f)
     if d == 0:
         return a**n if variant == "full" else a ** (n - 1)
-    P, H, _ = _power_and_ones_sum(B, a, n)
+    P, H = _power_and_ones_sum(B, a, n)
     return _cyclic_from_powers(P, H, a, n, d, variant)
 
 
@@ -299,9 +297,10 @@ def cyclic_resultant_sylvester(f: LaurentPolynomial, n: int,
     return int(value)
 
 
-def cyclic_resultant_valuation(f: LaurentPolynomial, n: int, p: int) -> int:
-    """Exact v_p of cyclic_resultant(f, n, "ones"), split along the Newton
-    polygon as
+def cyclic_resultant_valuation(f: LaurentPolynomial, ns, p: int):
+    """[v_p cyclic_resultant(f, n, "ones") for n in ns], exactly, for a
+    divisor chain ns (each n >= 1 divides the next).  Each is split along
+    the Newton polygon as
 
         v_p R(f, nu_n) = (n - 1) * mu + v_p R(f0, nu_n),
 
@@ -313,35 +312,38 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, n: int, p: int) -> int:
     (n - 1) * mu.  In a p-power tower, n = p^r, this is the mu * p^r term
     of the Iwasawa formula.
 
-    Only R(f0, nu_n) is computed, modulo p^K with K independent of mu and
-    of the leading coefficient.  The residue of the companion determinant
-    is an exact image of the true integer, so a nonzero residue certifies
-    the valuation; if it vanishes the working precision doubles (the
-    resultant itself must be nonzero, which callers guarantee by excluding
-    n-th roots of unity among the roots).  When both end coefficients of F
-    are p-units, every root is a unit and F itself stands in for f0.
+    f0 is lifted once, modulo one p^K sized by the largest n (not by mu or
+    the leading coefficient).  With C its companion matrix, R(f0, nu_n) =
+    det nu_n(C); as nu_(qm)(t) = nu_q(t^m) nu_m(t) and det is
+    multiplicative, the step from m to qm adds v_p det nu_q(C^m).  A
+    nonzero residue certifies its valuation; if one vanishes, K doubles
+    for the whole chain (the resultants must be nonzero, which callers
+    guarantee by excluding n-th roots of unity among the roots).
     """
     check_prime(p)
-    if n < 1:
-        raise DomainError("need n >= 1")
+    if not ns or min(ns) < 1 or any(b % a for a, b in zip(ns, ns[1:])):
+        raise DomainError("need a divisor chain of n >= 1")
     coeffs = _integer_coefficients(f)
     mu = min(vp_int(c, p) for c in coeffs if c)
     F = [c // p**mu for c in coeffs]
     units = [i for i, c in enumerate(F) if c % p]
     d0 = units[-1] - units[0]
     if d0 == 0:  # no unit roots: R(f0, nu_n) = 1
-        return (n - 1) * mu
-    K = (d0 + 2) * (n.bit_length() + 8) + 32
+        return [(n - 1) * mu for n in ns]
+    K = (d0 + 2) * (ns[-1].bit_length() + 8) + 32
     for _ in range(8):
         mod = p**K
-        f0 = F if d0 == len(F) - 1 else _unit_root_factor(F, p, K)
-        B, a, _ = _scaled_companion(f0)
-        _, H, _ = _power_and_ones_sum(B, a, n, mod)
-        det = berkowitz_determinant_mod(H, mod)
-        if det != 0:
-            v = vp_int(det, p)
-            if v < K - 1:  # strictly inside the window: certified
-                return (n - 1) * mu + v
+        P, _, _ = _scaled_companion(_unit_root_factor(F, p, K))
+        out, v = [], 0
+        for m, n in zip([1, *ns], ns):
+            P, S = _power_and_ones_sum(P, 1, n // m, mod)
+            det = berkowitz_determinant_mod(S, mod)
+            if not det or vp_int(det, p) >= K - 1:
+                break  # not certified strictly inside the window
+            v += vp_int(det, p)
+            out.append((n - 1) * mu + v)
+        else:
+            return out
         K *= 2
     raise ConvergenceError(
         "could not certify the resultant valuation; is R(f, nu_n) zero?")

@@ -290,6 +290,14 @@ class TestCli:
         assert "h_2 = 400 * log 2, h_5 = 400 * log 5" in \
             capsys.readouterr().out
 
+    def test_huge_lead_over_tiny_roots(self, capsys):
+        # the monic factor's coefficients underflow float64 to 0, but
+        # Fujiwara's bound puts both roots inside the unit circle
+        assert main(["--format", "json", "mahler",
+                     "--poly", "10^400*t^2-t+1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert abs(payload["log_value"] - 400 * math.log(10)) <= 1e-9
+
     def test_huge_monic_coefficient_exit_code(self, capsys):
         assert main(["mahler", "--poly", "t-10^400"]) == 6
         assert "float64" in capsys.readouterr().err

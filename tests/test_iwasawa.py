@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from padic_mahler import resultants
 from padic_mahler.errors import DomainError
 from padic_mahler.iwasawa import (
     fit_invariants,
@@ -146,3 +147,18 @@ class TestRoadmapTower:
         assert fit_invariants(f, 3, 7).to_dict() == {
             "p": 3, "lambda": 0, "mu": 0, "nu": 0, "r0": 1,
             "source": "fitted"}
+
+    def test_one_lift_per_tower(self, monkeypatch):
+        calls = []
+        lift = resultants._unit_root_factor
+
+        def counted(*args):
+            calls.append(args)
+            return lift(*args)
+
+        monkeypatch.setattr(resultants, "_unit_root_factor", counted)
+        f = P("2*t^8-3*t^5+t^2-5*t+7")
+        e = tower_order_valuations(f, 2, 9)
+        assert len(calls) == 1
+        assert e == [vp_int(resultants.cyclic_resultant(f, 2**r), 2)
+                     for r in range(1, 10)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from padic_mahler.errors import DomainError, ParseError, ZeroPolynomialError
-from padic_mahler.parsing import parse_laurent, parse_polynomial
+from padic_mahler.parsing import _Parser, parse_laurent, parse_polynomial
 from padic_mahler.polynomials import (
     LaurentPolynomial,
     MultivariatePolynomial,
@@ -37,6 +37,21 @@ class TestParsing:
         f = parse_polynomial("-t^-1 + 3 - t")
         assert f.terms == {-1: -1, 0: 3, 1: -1}
         assert parse_polynomial("t^(-2)").terms == {-2: 1}
+
+    def test_negative_power_of_integer_coefficient_is_exact(self):
+        # integer literals stay int inside the parser; a negative power
+        # must still make a Fraction, never a float
+        (key, coeff), = _Parser("(2*t)^(-2)").parse().items()
+        assert key == (("t", -2),) and coeff == Fraction(1, 4)
+        assert isinstance(coeff, Fraction)
+        assert parse_polynomial("(2*t)^(-2)").terms == {-2: Fraction(1, 4)}
+        assert parse_polynomial("2^(-1)").terms == {0: Fraction(1, 2)}
+
+    def test_unary_signs(self):
+        assert parse_polynomial("- -t").terms == {1: 1}
+        m = parse_polynomial("-(x+y)^2*z")
+        assert m.variables == ("x", "y", "z")
+        assert m.terms == {(2, 0, 1): -1, (1, 1, 1): -2, (0, 2, 1): -1}
 
     def test_power_of_sum(self):
         assert parse_polynomial("(t-1)^2").terms == {2: 1, 1: -2, 0: 1}

@@ -167,7 +167,21 @@ def test_tower_valuation_matches_exact_resultant(inputs):
     f, n, p = inputs
     exact = cyclic_resultant(f, n, "ones")
     assume(exact != 0)
-    assert cyclic_resultant_valuation(f, n, p) == vp_int(exact, p)
+    assert cyclic_resultant_valuation(f, [n], p)[0] == vp_int(exact, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tower_inputs(), st.sampled_from([None, 1, 2, 3]), st.integers(1, 4))
+def test_tower_valuations_along_divisor_chains(inputs, m, length):
+    """A p-power chain (m = None) or a mixed chain [m, m p, m p^2, ...]."""
+    f, _, p = inputs
+    ns = ([p**r for r in range(1, length + 1)] if m is None
+          else [m * p**r for r in range(length)])
+    assume(ns[-1] <= 243)
+    exact = [cyclic_resultant(f, n, "ones") for n in ns]
+    assume(0 not in exact)
+    assert cyclic_resultant_valuation(f, ns, p) == [vp_int(x, p)
+                                                    for x in exact]
 
 
 def _polygon_lambda(A, p):

@@ -190,19 +190,25 @@ class TestValuationPath:
                     exact = cyclic_resultant(f, n, "ones")
                     if exact == 0:
                         continue
-                    assert cyclic_resultant_valuation(f, n, p) == \
+                    assert cyclic_resultant_valuation(f, [n], p)[0] == \
                         vp_int(exact, p)
 
     def test_large_tower_closed_form(self):
         f = parse_laurent("2*t - 2")
         for r in range(1, 11):
-            assert cyclic_resultant_valuation(f, 2 ** r, 2) == 2 ** r - 1 + r
+            assert cyclic_resultant_valuation(f, [2 ** r], 2)[0] == \
+                2 ** r - 1 + r
 
     @pytest.mark.parametrize("text", ["2*t - 3", "9"])
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_nonpositive_n(self, text, n):
         with pytest.raises(DomainError):
-            cyclic_resultant_valuation(parse_laurent(text), n, 3)
+            cyclic_resultant_valuation(parse_laurent(text), [n], 3)
+
+    @pytest.mark.parametrize("ns", [[2, 3], [0], [2, 0], []])
+    def test_rejects_non_divisor_chains(self, ns):
+        with pytest.raises(DomainError):
+            cyclic_resultant_valuation(parse_laurent("2*t - 3"), ns, 3)
 
     def test_stress_high_degree_with_content(self):
         # degree up to 8 and p | content at the same prime as the tower
@@ -216,4 +222,4 @@ class TestValuationPath:
             exact = cyclic_resultant(f, n, "ones")
             if exact == 0:
                 continue
-            assert cyclic_resultant_valuation(f, n, p) == vp_int(exact, p)
+            assert cyclic_resultant_valuation(f, [n], p)[0] == vp_int(exact, p)
