@@ -229,6 +229,10 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The CLI converts only its own argv and exact results, which may run to
+    # thousands of digits: lift the int<->str digit limit for this run.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return _run(args)
     except ParseError as exc:
@@ -243,6 +247,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import ConvergenceError, DomainError
 from .iwasawa import mu_invariant
 from .mahler import LogMeasure, mahler_euclidean, mahler_padic
-from .ntheory import check_prime, trial_factor, vp_int
+from .ntheory import check_prime, factorize, vp_int
 from .polynomials import LaurentPolynomial, content_and_primitive, normalize
 
 
@@ -67,8 +67,32 @@ def balance_check(A: LaurentPolynomial, p: int) -> BalanceIdentity:
 
 
 @dataclass
+class LeadingCoefficientIdentity:
+    """log|a_0| = sum_p h_p + sum_p mu_p log p, held exactly as the balance
+    triple at each prime of a_0: the table of A that entropy_total reads."""
+
+    leading_coefficient: int
+    per_prime: dict            # p -> BalanceIdentity, ascending p
+
+    @property
+    def holds(self) -> bool:
+        return all(b.holds for b in self.per_prime.values())
+
+
+def leading_coeff_identity(A: LaurentPolynomial) -> LeadingCoefficientIdentity:
+    """{p: balance_check(A, p)} over the primes of one complete
+    factorization of a_0 (ntheory.factorize)."""
+    A = normalize(A)
+    if not A.is_integral:
+        raise DomainError("entropy requires integer coefficients")
+    a0 = int(A.leading_coefficient)
+    return LeadingCoefficientIdentity(
+        a0, {p: balance_check(A, p) for p in factorize(a0)})
+
+
+@dataclass
 class EntropyReport:
-    polynomial: str
+    polynomial: LaurentPolynomial
     leading_coefficient: int
     content: int
     content_factors: dict
@@ -77,11 +101,10 @@ class EntropyReport:
     h_total: float = 0.0
     log_mahler_primitive: LogMeasure | None = None
     balance: dict = field(default_factory=dict)   # prime -> BalanceIdentity
-    tol: float = 1e-9
 
     def to_dict(self):
         return {
-            "polynomial": self.polynomial,
+            "polynomial": str(self.polynomial),
             "leading_coefficient": self.leading_coefficient,
             "content": self.content,
             "content_factors": {str(p): e for p, e in self.content_factors.items()},
@@ -93,33 +116,24 @@ class EntropyReport:
         }
 
 
-def entropy_total(A: LaurentPolynomial, tol: float = 1e-9,
-                  factor_bound: int = 10**9) -> EntropyReport:
-    """Full entropy decomposition h = h_inf + sum_p h_p with the
-    reconciliation h = log m(primitive part) checked within tol."""
+def entropy_total(A: LaurentPolynomial, tol: float = 1e-9) -> EntropyReport:
+    """h = h_inf + sum_p h_p, read off the leading_coeff_identity table:
+    h_p and content_factors are its nonzero h_p and mu_p = v_p(content).
+    Checks every triple, prod p^h_p = a_0/content and, within tol,
+    the reconciliation h = log m(primitive part)."""
     A = normalize(A)
-    if not A.is_integral:
-        raise DomainError("entropy requires integer coefficients")
-    content, primitive = content_and_primitive(A)
-    a0 = int(A.leading_coefficient)
-    s = a0 // content
-    s_factors, leftover = trial_factor(s, factor_bound)
-    if leftover != 1:
-        raise DomainError(
-            f"leading coefficient factor {leftover} exceeds the trial "
-            f"division bound {factor_bound}")
-    content_factors, _ = trial_factor(content, factor_bound)
-    balance = {p: balance_check(A, p) for p in
-               sorted(set(s_factors) | set(content_factors))}
+    balance = leading_coeff_identity(A).per_prime
     for b in balance.values():
         if not b.holds:
             raise DomainError(f"balance identity failed at p = {b.p}")
-    h_p = {}
-    for p, exponent in sorted(s_factors.items()):
-        h_p[p] = balance[p].entropy_coefficient
-        if h_p[p] != exponent:
-            raise ConvergenceError(
-                "finite entropy must equal v_p(a_0/content)")
+    h_p = {p: b.entropy_coefficient for p, b in balance.items()
+           if b.entropy_coefficient}
+    content_factors = {p: b.mu for p, b in balance.items() if b.mu}
+    content, primitive = content_and_primitive(A)
+    a0 = int(A.leading_coefficient)
+    s = a0 // content
+    if math.prod(p ** h for p, h in h_p.items()) != s:
+        raise ConvergenceError("finite entropy must equal v_p(a_0/content)")
     m_prim = mahler_euclidean(primitive, tol=tol / 2)
     finite_sum = sum(float(c) * math.log(p) for p, c in h_p.items())
     h_inf = LogMeasure.infinite(m_prim.value - math.log(s), m_prim.error)
@@ -127,51 +141,6 @@ def entropy_total(A: LaurentPolynomial, tol: float = 1e-9,
     if abs(h_total - m_prim.value) > 2 * tol:
         raise DomainError("entropy reconciliation failed beyond tolerance")
     return EntropyReport(
-        polynomial=str(A),
-        leading_coefficient=a0,
-        content=content,
-        content_factors=content_factors,
-        h_inf=h_inf,
-        h_p=h_p,
-        h_total=h_total,
-        log_mahler_primitive=m_prim,
-        balance=balance,
-        tol=tol,
-    )
-
-
-@dataclass
-class LeadingCoefficientIdentity:
-    """log|a_0| = sum_{p} h_p + sum_p mu_p log p, verified exactly in the
-    exponents of the factorization of a_0."""
-
-    leading_coefficient: int
-    per_prime: dict            # p -> (v_p(a0), h_p coefficient, mu_p)
-
-    @property
-    def holds(self) -> bool:
-        return all(v == h + mu for v, h, mu in self.per_prime.values())
-
-    def to_dict(self):
-        return {"leading_coefficient": self.leading_coefficient,
-                "per_prime": {str(p): {"v_p": int(v), "h_p": str(h), "mu": mu}
-                              for p, (v, h, mu) in sorted(self.per_prime.items())},
-                "holds": self.holds}
-
-
-def leading_coeff_identity(A: LaurentPolynomial,
-                           factor_bound: int = 10**9) -> LeadingCoefficientIdentity:
-    A = normalize(A)
-    if not A.is_integral:
-        raise DomainError("identity requires integer coefficients")
-    a0 = int(A.leading_coefficient)
-    factors, leftover = trial_factor(a0, factor_bound)
-    if leftover != 1:
-        raise DomainError(
-            f"leading coefficient factor {leftover} exceeds the trial "
-            f"division bound {factor_bound}")
-    per_prime = {}
-    for p in sorted(factors):
-        b = balance_check(A, p)
-        per_prime[p] = (b.lead_valuation, b.entropy_coefficient, b.mu)
-    return LeadingCoefficientIdentity(a0, per_prime)
+        polynomial=A, leading_coefficient=a0, content=content,
+        content_factors=content_factors, h_inf=h_inf, h_p=h_p,
+        h_total=h_total, log_mahler_primitive=m_prim, balance=balance)

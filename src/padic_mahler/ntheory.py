@@ -4,6 +4,7 @@ Valuations are plain ints, with ``math.inf`` standing in for the valuation
 of zero; this keeps comparisons and ``min``/``max`` trivial.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,11 +19,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n == q:
-            return True
+    for q in _MR_BASES:
         if n % q == 0:
-            return False
+            return n == q
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -52,7 +51,6 @@ def vp_int(n: int, p: int):
     if n == 0:
         return INFINITY
     v = 0
-    n = abs(n)
     while n % p == 0:
         n //= p
         v += 1
@@ -65,8 +63,6 @@ def vp(x, p: int):
     if isinstance(x, int):
         return vp_int(x, p)
     x = Fraction(x)
-    if x == 0:
-        return INFINITY
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
@@ -74,29 +70,55 @@ def modinv(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
-def trial_factor(n: int, bound: int = 10**9):
-    """Factor |n| by trial division up to ``bound``.
+_TRIAL_BOUND = 1 << 8
+_RHO_BUDGET = 1 << 21      # rho steps per composite cofactor
 
-    Returns (factors, leftover) with factors a {prime: exponent} dict and
-    leftover the unfactored cofactor (1 when the factorization completed).
-    """
+
+def factorize(n: int) -> dict:
+    """{prime: exponent} for |n| >= 1, ascending: trial division below
+    _TRIAL_BOUND, then Pollard's rho in Brent's form (Pollard 1975; Brent
+    1980) on each cofactor that is_prime rejects.  A cofactor that rho
+    cannot split within _RHO_BUDGET steps is a DomainError naming it."""
     n = abs(n)
     if n == 0:
         raise DomainError("cannot factor 0")
     factors = {}
-    for q in (2, 3):
+    for q in range(2, _TRIAL_BOUND):
         while n % q == 0:
             factors[q] = factors.get(q, 0) + 1
             n //= q
-    d = 5
-    while d * d <= n and d <= bound:
-        for q in (d, d + 2):
-            while n % q == 0:
-                factors[q] = factors.get(q, 0) + 1
-                n //= q
-        d += 6
-    if n > 1:
-        if n <= bound or is_prime(n):
-            factors[n] = factors.get(n, 0) + 1
-            n = 1
-    return factors, n
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL_BOUND ** 2 or is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            stack += [d, m // d]
+    return dict(sorted(factors.items()))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of a composite n with no prime below _TRIAL_BOUND:
+    Brent's cycle search on x -> x^2 + c mod n, one gcd per 128 steps."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps + 2 * r > _RHO_BUDGET:
+                raise DomainError(f"cannot factor {n}: Pollard rho found "
+                                  f"no divisor within {_RHO_BUDGET} steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g > 1:
+                    break
+            steps += 2 * r
+            r *= 2
+        if g < n:    # g == n: every prime closed its cycle in one batch
+            return g

@@ -30,7 +30,10 @@ def _tokenize(text: str):
         number, ident, op = m.groups()
         start = m.start(1) if number else m.start(2) if ident else m.start(3)
         if number:
-            tokens.append(("number", int(number), start))
+            try:
+                tokens.append(("number", int(number), start))
+            except ValueError:    # beyond sys.get_int_max_str_digits()
+                raise ParseError("literal over the int digit limit", start) from None
         elif ident:
             tokens.append(("ident", ident, start))
         else:

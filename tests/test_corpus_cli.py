@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from padic_mahler.corpus import (
 from padic_mahler.errors import DomainError
 from padic_mahler.padics import PadicNumber
 from padic_mahler.parsing import parse_laurent
+from padic_mahler.resultants import cyclic_resultant
 
 P = parse_laurent
 
@@ -289,6 +291,33 @@ class TestCli:
         assert main(["entropy", "--poly", "10^400*t-1"]) == 0
         assert "h_2 = 400 * log 2, h_5 = 400 * log 5" in \
             capsys.readouterr().out
+
+    def test_lead_beyond_trial_division(self, capsys):
+        # factored by rho in well under a second; trial division up to
+        # 10^9 once took ~60 s and then refused
+        assert main(["entropy", "--poly", "1000000007*1000000009*t-1"]) == 0
+        assert "h_1000000007 = 1 * log 1000000007, " \
+            "h_1000000009 = 1 * log 1000000009" in capsys.readouterr().out
+
+    def test_results_beyond_int_str_limit(self, capsys):
+        # each of these crossed the interpreter's 4300-digit int<->str
+        # limit; main lifts it for the run only
+        limit = sys.get_int_max_str_digits()
+        assert main(["homology", "--poly", "t^2-3*t+1", "--n", "100000"]) == 0
+        printed = capsys.readouterr().out.split(" = ")[1].strip()
+        expected = abs(cyclic_resultant(P("t^2 - 3*t + 1"), 100000, "ones"))
+        assert main(["entropy", "--poly", "10^5000*t-1"]) == 0
+        assert "h_2 = 5000 * log 2, h_5 = 5000 * log 5" in \
+            capsys.readouterr().out
+        assert main(["mahler", "--poly", "1" + "0" * 5000 + "*t-1",
+                     "--tol", "1e-9"]) == 0
+        assert "= 11512.9254649702" in capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert printed == str(expected)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_huge_lead_over_tiny_roots(self, capsys):
         # the monic factor's coefficients underflow float64 to 0, but

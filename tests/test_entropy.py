@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from padic_mahler.entropy import (
     leading_coeff_identity,
 )
 from padic_mahler.errors import DomainError
-from padic_mahler.ntheory import is_prime
+from padic_mahler.ntheory import factorize, is_prime
 from padic_mahler.parsing import parse_laurent
 from padic_mahler.polynomials import LaurentPolynomial
 
@@ -71,6 +72,11 @@ class TestTotals:
             rep = entropy_total(f, tol=1e-9)
             assert abs(rep.h_total - rep.log_mahler_primitive.value) <= 2e-9
 
+    def test_huge_lead_under_int_str_limit(self):
+        # the report formats its polynomial only in to_dict
+        rep = entropy_total(P("10^5000*t - 1"))
+        assert rep.h_p == {2: 5000, 5: 5000}
+
     def test_rational_coefficients_rejected(self):
         with pytest.raises(DomainError):
             entropy_total(P("1/2*t - 1"))
@@ -117,10 +123,18 @@ class TestBalance:
                 assert balance_check(f, p).holds
 
 
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
 class TestLeadingCoefficient:
     def test_four(self):
         rep = leading_coeff_identity(P("4*t^2 - 10*t + 4"))
-        assert rep.holds and rep.per_prime[2] == (2, 1, 1)
+        b = rep.per_prime[2]
+        assert rep.holds
+        assert (b.lead_valuation, b.entropy_coefficient, b.mu) == (2, 1, 1)
 
     def test_knot_case(self):
         rep = leading_coeff_identity(P("t^2 - 3*t + 1"))
@@ -129,11 +143,40 @@ class TestLeadingCoefficient:
     def test_content_six(self):
         rep = leading_coeff_identity(P("6*t - 6"))
         assert rep.holds
-        assert rep.per_prime[2] == (1, 0, 1)
-        assert rep.per_prime[3] == (1, 0, 1)
+        assert [(b.lead_valuation, b.entropy_coefficient, b.mu)
+                for b in rep.per_prime.values()] == [(1, 0, 1), (1, 0, 1)]
+        assert list(rep.per_prime) == [2, 3]
 
-    def test_factor_bound(self):
-        big = 1000003 * 1000033    # composite with factors beyond the bound
-        f = LaurentPolynomial({1: big, 0: 1})
+    def test_refusal_beyond_rho_budget(self):
+        # two ~20-digit primes: rho gives up on its fixed step budget
+        big = _next_prime(10**19) * _next_prime(10**20)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=str(big)):
+            leading_coeff_identity(LaurentPolynomial({1: big, 0: 1}))
+        assert time.perf_counter() - start < 5
+
+    def test_content_primes_are_kept(self):
+        # c = 1000003 * 1000033 once fell out of content_factors
+        c = 1000003 * 1000033
+        f = LaurentPolynomial({1: 2 * c, 0: -c})
+        rep = entropy_total(f)
+        assert rep.content_factors == {1000003: 1, 1000033: 1}
+        assert rep.h_p == {2: 1}
+        assert list(rep.balance) == list(leading_coeff_identity(f).per_prime)
+
+
+class TestFactorize:
+    def test_small_cases(self):
+        assert factorize(1) == {}
+        assert factorize(-12) == {2: 2, 3: 1}
+        assert list(factorize(1000000009 * 1000000007 * 6)) == \
+            [2, 3, 1000000007, 1000000009]
         with pytest.raises(DomainError):
-            leading_coeff_identity(f, factor_bound=10**4)
+            factorize(0)
+
+    def test_matches_sympy_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(83)
+        for _ in range(30):
+            n = rng.randrange(1, 10**18)
+            assert factorize(n) == sympy.factorint(n)

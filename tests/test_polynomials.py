@@ -90,6 +90,12 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_polynomial("1/0*t")
 
+    def test_literal_beyond_int_str_limit_rejected(self):
+        # library callers keep the interpreter's 4300-digit limit
+        with pytest.raises(ParseError) as err:
+            parse_polynomial("t + " + "1" + "0" * 5000)
+        assert err.value.position == 4
+
     def test_double_caret_rejected(self):
         with pytest.raises(ParseError):
             parse_polynomial("t^2^3")

@@ -12,7 +12,7 @@ from padic_mahler.iwasawa import (
     mu_invariant,
 )
 from padic_mahler.mahler import mahler_padic
-from padic_mahler.ntheory import vp, vp_int
+from padic_mahler.ntheory import factorize, is_prime, vp, vp_int
 from padic_mahler.padics import PadicNumber, padic_log, teichmuller
 from padic_mahler.parsing import parse_polynomial
 from padic_mahler.polynomials import (
@@ -215,6 +215,28 @@ def test_valuation_ultrametric(x, y, p):
     vx, vy, vsum = vp(x, p), vp(y, p), vp(x + y, p)
     assert vsum >= min(vx, vy)
     assert vp(x * y, p) == vx + vy
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 10**9).map(_next_prime),
+                          st.integers(1, 3)), min_size=1, max_size=4))
+def test_factorize_recovers_prime_power_products(parts):
+    n = 1
+    for q, e in parts:
+        n *= q**e
+    factors = factorize(n)
+    assert all(is_prime(q) for q in factors)
+    assert list(factors) == sorted(factors)
+    product = 1
+    for q, e in factors.items():
+        product *= q**e
+    assert product == n
 
 
 @given(st.integers(1, 10**6), primes, st.integers(2, 10))
