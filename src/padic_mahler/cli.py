@@ -36,6 +36,19 @@ EXIT_PRECISION = 5
 EXIT_CONVERGENCE = 6
 
 
+def _attach_values(argv):
+    """Join --poly, --delta and --subs to a value that starts with a minus
+    sign ("--poly=-6*t+6"), which argparse would read as an option."""
+    out = []
+    for word in argv:
+        if out and out[-1] in ("--poly", "--delta", "--subs") \
+                and word[:1] == "-" and word[:2] != "--":
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _add_poly_options(sub):
     sub.add_argument("--poly", help="one-variable polynomial text")
     sub.add_argument("--delta", help="multivariable polynomial text")
@@ -228,7 +241,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_values(sys.argv[1:] if argv is None else argv))
     # The CLI converts only its own argv and exact results, which may run to
     # thousands of digits: lift the int<->str digit limit for this run.
     limit = sys.get_int_max_str_digits()

@@ -395,6 +395,8 @@ def _check_claim(record: LinkRecord, claim: Claim, tol: float):
 
 
 def verify_corpus(records, tol: float = 1e-9) -> VerificationReport:
+    if not tol > 0:
+        raise DomainError("tolerance must be positive")
     report = VerificationReport()
     for record in records:
         for claim in record.claims:

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .ntheory import check_prime, vp_int
-from .polynomials import (
-    LaurentPolynomial,
-    normalize,
-    p_power_cyclotomic,
-    power_minus_one,
-)
+from .polynomials import LaurentPolynomial, normalize
 from .resultants import cyclic_resultant_valuation
 from .valuations import gauss_norm_valuation
 
@@ -58,13 +53,16 @@ def _prepare(A: LaurentPolynomial, p: int) -> LaurentPolynomial:
 
 
 def _divisible_by_p_power_cyclotomic(A: LaurentPolynomial, p: int):
-    """The smallest r >= 1 with Phi_{p^r} | A, or None."""
-    r = 1
-    while (p - 1) * p ** (r - 1) <= A.degree:
-        _, rem = A.divmod_polynomial(p_power_cyclotomic(p, r))
-        if rem.is_zero:
+    """The smallest r >= 1 with Phi_{p^r} | A, or None.  Phi_{p^r}(t) =
+    Phi_p(t^q), q = p^(r-1), divides t^(pq) - 1; fold A mod t^(pq) - 1 to
+    b_0 .. b_(pq-1): Phi_{p^r} | A iff b_j = b_(j+q) for every j < (p-1)q."""
+    c = A.coefficients_ascending()
+    r, q = 1, 1
+    while (p - 1) * q < len(c):
+        b = [sum(c[j::p * q]) for j in range(p * q)]
+        if all(b[j] == b[j + q] for j in range((p - 1) * q)):
             return r
-        r += 1
+        r, q = r + 1, q * p
     return None
 
 
@@ -186,11 +184,11 @@ def verify_consistency(A: LaurentPolynomial, p: int,
     roots of unity is an error.
     """
     A = _prepare(A, p)
-    if A(1) == 0:
-        quotient = A.divide_exact(power_minus_one(1, A.variable))
-        if quotient(1) == 0:
-            raise DomainError(
-                "A has a multiple zero at t = 1; the homology model breaks")
+    c = A.integer_coefficients_ascending()
+    # a multiple zero at 1 is A(1) = 0 = A'(1)
+    if sum(c) == 0 == sum(i * x for i, x in enumerate(c)):
+        raise DomainError(
+            "A has a multiple zero at t = 1; the homology model breaks")
     lam = lambda_invariant(A, p)
     mu = mu_invariant(A, p)
     fitted = fit_invariants(A, p, r_max)

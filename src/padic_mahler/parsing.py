@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import DomainError, ParseError
 from .polynomials import LaurentPolynomial, MultivariatePolynomial
@@ -45,13 +46,15 @@ def _tokenize(text: str):
 
 class _Parser:
     """Recursive descent over a generic sparse multivariate representation:
-    {((var, exp), ...) sorted: int or Fraction}; only a/b and negative
-    powers make Fractions, so integer arithmetic stays on ints."""
+    {exponent tuple over the sorted identifiers of the text: int or
+    Fraction}; only a/b and negative powers make Fractions."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.variables = sorted({v for kind, v, _ in self.tokens
+                                 if kind == "ident"})
 
     def peek(self):
         return self.tokens[self.i]
@@ -68,9 +71,8 @@ class _Parser:
 
     # generic-polynomial helpers ---------------------------------------
 
-    @staticmethod
-    def _const(c):
-        return {(): c} if c != 0 else {}
+    def _const(self, c):
+        return {(0,) * len(self.variables): c} if c != 0 else {}
 
     @staticmethod
     def _add(a, b):
@@ -92,10 +94,7 @@ class _Parser:
         out = {}
         for k1, v1 in a.items():
             for k2, v2 in b.items():
-                exps = dict(k1)
-                for var, e in k2:
-                    exps[var] = exps.get(var, 0) + e
-                key = tuple(sorted((v, e) for v, e in exps.items() if e != 0))
+                key = tuple(map(add, k1, k2))
                 s = out.get(key, 0) + v1 * v2
                 if s == 0:
                     out.pop(key, None)
@@ -116,8 +115,7 @@ class _Parser:
         if len(base) != 1:
             raise ParseError("negative power of a non-monomial", pos)
         (key, coeff), = base.items()
-        new_key = tuple(sorted((v, e * k) for v, e in key))
-        return {new_key: Fraction(coeff)**k}
+        return {tuple(e * k for e in key): Fraction(coeff)**k}
 
     # grammar ----------------------------------------------------------
 
@@ -197,7 +195,7 @@ class _Parser:
                 return self._const(Fraction(val, dval))
             return self._const(val)
         if kind == "ident":
-            return {((val, 1),): 1}
+            return {tuple(int(v == val) for v in self.variables): 1}
         if kind == "op" and val == "(":
             value = self.expression()
             self.expect_op(")")
@@ -209,25 +207,23 @@ def parse_polynomial(text: str):
     """Parse to a LaurentPolynomial (<= 1 variable) or a
     MultivariatePolynomial (>= 2 variables, integer coefficients).
 
-    Multivariate variables are ordered alphabetically; substitution
-    exponent vectors follow that order.
+    Multivariate variables that do not cancel are ordered alphabetically;
+    substitution exponent vectors follow that order.
     """
-    generic = _Parser(text).parse()
-    variables = sorted({v for key in generic for v, _ in key})
-    if len(variables) <= 1:
-        var = variables[0] if variables else "t"
-        terms = {}
-        for key, c in generic.items():
-            e = key[0][1] if key else 0
-            terms[e] = c
-        return LaurentPolynomial(terms, var)
+    parser = _Parser(text)
+    generic = parser.parse()
+    used = [i for i in range(len(parser.variables))
+            if any(key[i] for key in generic)]
+    if len(used) <= 1:      # every other exponent is 0
+        return LaurentPolynomial({sum(key): c for key, c in generic.items()},
+                                 parser.variables[used[0]] if used else "t")
+    variables = [parser.variables[i] for i in used]
     terms = {}
     for key, c in generic.items():
         if c.denominator != 1:
             raise DomainError(
                 "multivariate polynomials require integer coefficients")
-        exps = dict(key)
-        vec = tuple(exps.get(v, 0) for v in variables)
+        vec = tuple(key[i] for i in used)
         if any(e < 0 for e in vec):
             raise DomainError(
                 "multivariate polynomials do not allow negative exponents")

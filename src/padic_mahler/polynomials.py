@@ -409,15 +409,6 @@ def power_minus_one(n: int, variable: str = "t") -> LaurentPolynomial:
     return LaurentPolynomial({n: 1, 0: -1}, variable)
 
 
-def p_power_cyclotomic(p: int, r: int, variable: str = "t") -> LaurentPolynomial:
-    """The p^r-th cyclotomic polynomial, r >= 1: 1 + t^q + ... + t^(q(p-1))
-    with q = p^(r-1)."""
-    if r < 1:
-        raise DomainError("need r >= 1")
-    q = p ** (r - 1)
-    return LaurentPolynomial({i * q: 1 for i in range(p)}, variable)
-
-
 def squarefree_split(f: LaurentPolynomial):
     """Yun's squarefree split of normalize(f) (Yun 1976; von zur Gathen-
     Gerhard, Modern Computer Algebra, 14.6): pairs (a_i, i), i increasing,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import (
     ConvergenceError,
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .ntheory import check_prime, modinv, vp_int
 from .padics import PadicNumber, hensel_lift, padic_log, padic_log_of_int
-from .polynomials import LaurentPolynomial, normalize, power_minus_one
+from .polynomials import LaurentPolynomial, normalize
 from .resultants import cyclic_resultant_sweep
 from .roots import _horner
 from .valuations import NewtonPolygon
@@ -264,18 +265,17 @@ def pure_link_growth(A: LaurentPolynomial, d: int, p: int,
     if d < 1:
         raise DomainError("component count d must be >= 1")
     A = normalize(A)
-    H = A
-    t_minus_1 = power_minus_one(1, A.variable)
+    c = A.coefficients_ascending()
     for _ in range(d - 1):
-        try:
-            H = H.divide_exact(t_minus_1)
-        except DomainError:
+        if sum(c):
             raise DomainError(
                 f"(t-1)-multiplicity of A is smaller than d-1 = {d - 1}")
-    if H(1) == 0:
+        c = list(accumulate(c[:0:-1]))[::-1]     # c / (t - 1): suffix sums
+    if sum(c) == 0:
         raise DomainError(
             f"(t-1)-multiplicity of A exceeds d-1 = {d - 1}; H(1) = 0")
-    H = _defined_integral(H, p, "growth")
+    H = _defined_integral(LaurentPolynomial(dict(enumerate(c)), A.variable),
+                          p, "growth")
     h1 = abs(int(H(1)))
     used = [n for n in range(1, n_budget + 1) if math.gcd(n, p) == 1]
     estimates = []

@@ -6,9 +6,10 @@ The signed resultant of f = a*prod(t - alpha_i), g = b*prod(t - beta_j) is
 
 the determinant of the Sylvester matrix.  Two independent routes are kept
 deliberately: fraction-free Bareiss elimination on the Sylvester matrix
-(the oracle), and exact companion-matrix powering for the cyclic resultants
-R(f, t^n - 1) and R(f, 1 + t + ... + t^(n-1)) (the fast path).  Their
-agreement is itself part of the test suite.
+(the oracle), and exact companion-matrix powering for the cyclic resultant
+R(f, nu_n), nu_n = 1 + t + ... + t^(n-1) (the fast path), which also gives
+R(f, t^n - 1) = R(f, t - 1) R(f, nu_n) with R(f, t - 1) = (-1)^deg(f) f(1).
+Their agreement is itself part of the test suite.
 
 Conventions: R(0, g) = 0 and R(c, g) = c^deg(g) for constants, so
 R(1, g) = 1.  Laurent inputs are normalized (min exponent 0, positive
@@ -110,7 +111,7 @@ def resultant(f: LaurentPolynomial, g: LaurentPolynomial) -> Fraction:
 def _scaled_companion(coeffs):
     """(B, a, d): B = a*C with C the companion matrix of f/a, a = leading
     coefficient, d = degree, for f given by its ascending integer
-    coefficients c_0 .. c_d with d >= 1.  B is an integer matrix."""
+    coefficients c_0 .. c_d.  B is an integer matrix, empty when d = 0."""
     d = len(coeffs) - 1
     a = coeffs[d]
     B = [[0] * d for _ in range(d)]
@@ -209,47 +210,43 @@ def _integer_coefficients(f: LaurentPolynomial):
     return f.integer_coefficients_ascending()
 
 
-def _companion_setup(f: LaurentPolynomial):
-    """(B, a, d) for the normalization of a nonzero integral input, with B
-    its scaled companion matrix (None for a constant, d = 0)."""
+def _companion_setup(f: LaurentPolynomial, variant: str):
+    """(B, a, d, scale) for the normalization of a nonzero integral input:
+    B its scaled companion matrix (empty for a constant, d = 0) and scale
+    R(f, t - 1) = (-1)^d f(1) for variant "full", 1 for "ones"."""
+    if variant not in ("ones", "full"):
+        raise DomainError(f"unknown cyclic resultant variant {variant!r}")
     coeffs = _integer_coefficients(f)
-    if len(coeffs) == 1:
-        return None, coeffs[0], 0
-    return _scaled_companion(coeffs)
+    scale = (-1) ** (len(coeffs) - 1) * sum(coeffs) if variant == "full" else 1
+    return (*_scaled_companion(coeffs), scale)
 
 
-def _cyclic_from_powers(P, H, a, n, d, variant):
-    """R(f, t^n - 1) = det(B^n - a^n I) / a^(n(d-1)) from P = B^n, or
-    R(f, nu_n) = det(H_n) / a^((n-1)(d-1)); both divisions are exact."""
-    if variant == "full":
-        det = bareiss_determinant(_mat_add_scalar(P, -a**n))
-        denom = a ** (n * (d - 1))
-    else:
-        det = bareiss_determinant(H)
-        denom = a ** ((n - 1) * (d - 1))
+def _cyclic_from_powers(H, a, n, d):
+    """R(f, nu_n) = det(H_n) / a^((n-1)(d-1)); the division is exact."""
+    det = bareiss_determinant(H)
+    denom = a ** ((n - 1) * (d - 1))
     if det % denom:
         raise ConvergenceError("companion scaling must divide exactly")
     return det // denom
 
 
 def cyclic_resultant(f: LaurentPolynomial, n: int, variant: str = "ones") -> int:
-    """Signed exact R(f, t^n - 1) (variant="full") or R(f, nu) with
-    nu = 1 + t + ... + t^(n-1) (variant="ones").
+    """Signed exact R(f, nu) with nu = 1 + t + ... + t^(n-1)
+    (variant="ones") or R(f, t^n - 1) = R(f, t - 1) R(f, nu)
+    (variant="full"), with R(f, t - 1) = (-1)^deg(f) f(1).
 
     f must be nonzero with integer coefficients; it is normalized first.
-    Computed as a^n det(C^n - I) resp. a^(n-1) det(nu(C)) over the scaled
-    integer companion matrix, with binary exponentiation: the route for
-    one isolated n (cyclic_resultant_sweep serves dense runs of n).
+    R(f, nu) is a^(n-1) det(nu(C)) over the scaled integer companion
+    matrix, by binary powering: the route for one isolated n
+    (cyclic_resultant_sweep serves dense runs of n).
     """
-    if variant not in ("ones", "full"):
-        raise DomainError(f"unknown cyclic resultant variant {variant!r}")
     if n < 1:
         raise DomainError("need n >= 1")
-    B, a, d = _companion_setup(f)
+    B, a, d, scale = _companion_setup(f, variant)
     if d == 0:
-        return a**n if variant == "full" else a ** (n - 1)
-    P, H = _power_and_ones_sum(B, a, n)
-    return _cyclic_from_powers(P, H, a, n, d, variant)
+        return scale * a ** (n - 1)
+    _, H = _power_and_ones_sum(B, a, n)
+    return scale * _cyclic_from_powers(H, a, n, d)
 
 
 def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
@@ -261,9 +258,7 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     a determinant is taken only at the requested n.  This is the route for
     dense runs of n; isolated n are cheaper by cyclic_resultant.
     """
-    if variant not in ("ones", "full"):
-        raise DomainError(f"unknown cyclic resultant variant {variant!r}")
-    B, a, d = _companion_setup(f)
+    B, a, d, scale = _companion_setup(f, variant)
     if d:
         column = [row[-1] for row in B]
         P, H, k = B, _identity(d), 1     # B^k, H_k
@@ -273,23 +268,22 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
             raise DomainError("sweep needs strictly increasing positive n")
         last = n
         if d == 0:
-            yield a**n if variant == "full" else a ** (n - 1)
+            yield scale * a ** (n - 1)
             continue
         while k < n:
-            if variant == "ones":
-                H = [[a * h + x for h, x in zip(hrow, prow)]
-                     for hrow, prow in zip(H, P)]
+            H = [[a * h + x for h, x in zip(hrow, prow)]
+                 for hrow, prow in zip(H, P)]
             # P B: B has a on its subdiagonal and ``column`` last
             P = [[a * x for x in row[1:]] + [sum(map(mul, row, column))]
                  for row in P]
             k += 1
-        yield _cyclic_from_powers(P, H, a, n, d, variant)
+        yield scale * _cyclic_from_powers(H, a, n, d)
 
 
 def cyclic_resultant_sylvester(f: LaurentPolynomial, n: int,
                                variant: str = "ones") -> int:
     """Sylvester-matrix oracle for cyclic_resultant (slow, independent)."""
-    g = power_minus_one(n) if variant == "full" else all_ones_polynomial(n)
+    g = {"ones": all_ones_polynomial, "full": power_minus_one}[variant](n)
     value = resultant(f, g)
     if value.denominator != 1:
         raise ConvergenceError(

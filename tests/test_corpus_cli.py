@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 
 import pytest
 
@@ -192,6 +193,42 @@ class TestCorpus:
         assert row.detail.startswith("error:")
 
 
+# Inputs at the edge of a guard, each with its documented exit code.  A
+# traceback fails the test; so does a total time over the budget.
+EXIT_CODE_CASES = [
+    (["mahler", "--poly", "t-2", "--tol", "0"], 4),
+    (["mahler", "--poly", "t-2", "--tol", "nan"], 4),
+    (["verify-corpus", "--tol", "0"], 4),
+    (["mahler", "--poly", "t-2", "--place", "4"], 4),
+    (["mahler", "--poly", "t-2", "--place", "foo"], 2),
+    (["iwasawa", "--poly", "t-2", "--prime", "3", "--rmax", "0"], 4),
+    # p divides both the leading and the trailing coefficient
+    (["iwasawa", "--poly", "2*t^2+t+2", "--prime", "2"], 0),
+    (["mp", "--poly", "2*t^2+t+2", "--prime", "2"], 0),
+    # coefficients near 10^50, and one whose monic factor leaves float64
+    (["mahler", "--poly", "t^2-10^50*t+1"], 0),
+    (["iwasawa", "--poly", "10^50*t^2+3*t+10^50", "--prime", "3"], 0),
+    (["mahler", "--poly", "t-10^400"], 6),
+    (["homology", "--poly", "t^2-3*t+1", "--n", "10000"], 0),
+    (["mahler", "--poly", "(t-1)^1100"], 0),
+    (["mahler", "--poly", "(t-1)^("], 3),
+    (["mp", "--poly", "t^2-2*t+4", "--prime", "2", "--nbudget", "3"], 4),
+    (["mp", "--poly", "t^2-2*t+4", "--prime", "2", "--precision", "0"], 5),
+    (["mahler", "--delta", "x*y-x-y+1", "--subs", "1,1,1"], 4),
+]
+
+
+def test_documented_exit_codes(capsys):
+    start = time.perf_counter()
+    for argv, code in EXIT_CODE_CASES:
+        try:
+            got = main(argv)
+        except SystemExit as exc:   # argparse's usage error
+            got = exc.code
+        assert got == code, argv
+    assert time.perf_counter() - start < 5.0
+
+
 class TestCli:
     def test_mahler_inf(self, capsys):
         assert main(["mahler", "--poly", "t^2-3*t+1", "--place", "inf"]) == 0
@@ -271,6 +308,28 @@ class TestCli:
         assert main(["verify-corpus"]) == 0
         out = capsys.readouterr().out
         assert "failed 0" in out
+
+    @pytest.mark.parametrize("spaced, joined", [
+        (["entropy", "--poly", "-6*t+6"], ["entropy", "--poly=-6*t+6"]),
+        (["mahler", "--poly", "-t^2+3*t-1", "--place", "inf"],
+         ["mahler", "--poly=-t^2+3*t-1", "--place", "inf"]),
+        (["growth", "--delta", "-x-y+2+2*x*y", "--subs", "-1,1",
+          "--nmax", "20"],
+         ["growth", "--delta=-x-y+2+2*x*y", "--subs=-1,1", "--nmax", "20"]),
+    ])
+    def test_values_that_start_with_a_minus_sign(self, capsys, spaced,
+                                                 joined):
+        # argparse alone reads "-6*t+6" as an option and exits 2
+        assert main(joined) == 0
+        expected = capsys.readouterr().out
+        assert main(spaced) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_verify_corpus_nonpositive_tolerance_exit_code(self, capsys, tol):
+        # a refusal, not the "a PAPER claim failed" code 1
+        assert main(["verify-corpus", "--tol", tol]) == 4
+        assert "tolerance must be positive" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["mahler", "--poly", "t +* 1", "--place", "inf"]) == 3

@@ -42,10 +42,17 @@ class TestParsing:
         # integer literals stay int inside the parser; a negative power
         # must still make a Fraction, never a float
         (key, coeff), = _Parser("(2*t)^(-2)").parse().items()
-        assert key == (("t", -2),) and coeff == Fraction(1, 4)
+        assert key == (-2,) and coeff == Fraction(1, 4)
         assert isinstance(coeff, Fraction)
         assert parse_polynomial("(2*t)^(-2)").terms == {-2: Fraction(1, 4)}
         assert parse_polynomial("2^(-1)").terms == {0: Fraction(1, 2)}
+
+    def test_cancelled_variables_are_dropped(self):
+        assert parse_polynomial("(x+2*y-1)^0") == LaurentPolynomial.constant(1)
+        assert parse_polynomial("x - x + t^2") == parse_laurent("t^2")
+        m = parse_polynomial("x*y - y*(x + 2) + 2*y + x^3")
+        assert isinstance(m, LaurentPolynomial) and m.variable == "x"
+        assert m.terms == {3: 1}
 
     def test_unary_signs(self):
         assert parse_polynomial("- -t").terms == {1: 1}

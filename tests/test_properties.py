@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -208,6 +209,36 @@ def test_lambda_is_the_polygon_reading(f, mu, zeros_at_one, p):
     A = f * p**mu * power_minus_one(1) ** zeros_at_one
     assume(_divisible_by_p_power_cyclotomic(normalize(A), p) is None)
     assert lambda_invariant(A, p) == _polygon_lambda(A, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_polynomials(max_deg=6, height=20), st.sampled_from([2, 3, 5]),
+       st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
+def test_cyclotomic_fold_matches_sympy(f, p, r, cyclotomic_power,
+                                       zeros_at_one):
+    # A = f * Phi_{p^r}^k * (t-1)^z, possibly with negative exponents: the
+    # coefficient fold must find the least s with Phi_{p^s} | A, as sympy's
+    # remainder by cyclotomic_poly(p^s) does
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def laurent(expr):
+        coeffs = reversed(sympy.Poly(expr, t).all_coeffs())
+        return LaurentPolynomial({e: int(c) for e, c in enumerate(coeffs)})
+
+    A = (f * laurent(sympy.cyclotomic_poly(p**r, t)) ** cyclotomic_power
+         * power_minus_one(1) ** zeros_at_one)
+    g = normalize(A)
+    expr = sum(int(c) * t**e for e, c in g.terms.items())
+    expected, s = None, 1
+    while (p - 1) * p ** (s - 1) <= g.degree:
+        if sympy.rem(expr, sympy.cyclotomic_poly(p**s, t), t) == 0:
+            expected = s
+            break
+        s += 1
+    assert _divisible_by_p_power_cyclotomic(A, p) == expected
+    if cyclotomic_power:
+        assert expected is not None and expected <= r
 
 
 @given(st.fractions(), st.fractions(), primes)

@@ -188,10 +188,21 @@ class TestLinkGrowth:
         assert res.data["H"] == "1"
 
     def test_multiplicity_mismatch(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="smaller than d-1 = 2"):
             pure_link_growth(P("2*t - 2"), 3, 5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="smaller than d-1 = 1"):
+            pure_link_growth(P("t^2 - 3*t + 1"), 2, 5)
+        with pytest.raises(DomainError, match="exceeds d-1 = 1"):
             pure_link_growth(P("(t-1)^2"), 2, 5)
+        with pytest.raises(DomainError, match="exceeds d-1 = 2"):
+            pure_link_growth(P("(t-1)^3*(2*t-3)"), 3, 5)
+
+    def test_h_at_1_is_an_int(self):
+        # H = (2t - 5)(5t - 1) after dividing (t-1)^2 out: H(1) = -12
+        res = pure_link_growth(P("(t-1)^2*(2*t-5)*(5*t-1)"), 3, 5,
+                               n_budget=40, precision=8)
+        assert res.data["H"] == "10*t^2 - 27*t + 5"
+        assert res.data["H_at_1"] == 12 and type(res.data["H_at_1"]) is int
 
 
 @pytest.mark.parametrize("n_budget", [0, 1, 4])

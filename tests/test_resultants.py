@@ -151,6 +151,46 @@ class TestCyclicResultant:
             cyclic_resultant(parse_laurent("t - 2"), 3, "nu_variant")
 
 
+class TestSympyOracle:
+    """sympy against t^n - 1 and nu_n: a third route, independent of the
+    companion matrix and of the Sylvester/Bareiss oracle.  sympy 1.14's
+    resultant drops the sign (-1)^(deg f deg g) on some inputs: for
+    6t^3 - 7t^2 + 2t - 2 against t^7 - 1 it gives -390419, where its own
+    Sylvester determinant and a^7 prod(alpha^7 - 1) give 390419.  So it is
+    held to the absolute value, and the determinant of sympy's Sylvester
+    matrix to the sign."""
+
+    NS = [1, 2, 3, 4, 7, 12]
+
+    def test_both_variants_both_routes(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.subresultants_qq_zz import sylvester
+        t = sympy.Symbol("t")
+        rng = random.Random(29)
+        polys = [random_poly(rng, max_deg=5, height=9) for _ in range(6)]
+        # f(1) = 0, so R(f, t^n - 1) = 0 while R(f, nu_n) is not
+        t_minus_1 = parse_laurent("t - 1")
+        polys += [random_poly(rng, max_deg=4, height=9) * t_minus_1
+                  for _ in range(3)]
+        polys += [parse_laurent(text) for text in ("7", "-3", "t - 1")]
+        moduli = {"full": lambda n: t**n - 1,
+                  "ones": lambda n: sum(t**i for i in range(n))}
+        for f in polys:
+            g = normalize(f)
+            expr = sum(int(c) * t**e for e, c in g.terms.items())
+            for variant, modulus in moduli.items():
+                fast = [cyclic_resultant(f, n, variant) for n in self.NS]
+                assert list(cyclic_resultant_sweep(f, self.NS, variant)) \
+                    == fast, (str(f), variant)
+                for n, value in zip(self.NS, fast):
+                    assert abs(value) == abs(sympy.resultant(
+                        expr, modulus(n), t)), (str(f), variant, n)
+                    if g.degree and n > 1:
+                        assert value == sylvester(
+                            expr, modulus(n), t).det(), (str(f), variant, n)
+            assert g(1) != 0 or cyclic_resultant(f, 5, "full") == 0
+
+
 class TestSweep:
     NS = [1, 2, 3, 5, 8, 9, 13, 21, 22, 34]
 
