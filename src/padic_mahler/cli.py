@@ -2,9 +2,10 @@
 
 Subcommands: mahler, iwasawa, entropy, mp, hbar, homology, growth,
 verify-corpus.  Output is aligned text by default or JSON with
---format json.  Exit codes: 0 success, 1 corpus verification failure,
-2 usage error (argparse), 3 parse error, 4 domain/precondition error,
-5 precision error, 6 convergence error.
+--format json.  Exit codes: 0 success, also when the reader closes stdout
+early (as `| head` does), 1 corpus verification failure, 2 usage error
+(argparse), 3 parse error, 4 domain/precondition error, 5 precision error,
+6 convergence error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .corpus import branched_cover_homology_order, load_corpus, verify_corpus
@@ -248,7 +250,15 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _run(args)
+        status = _run(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader wants no more: the final flush at exit goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

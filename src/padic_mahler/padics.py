@@ -12,7 +12,6 @@ p-adic logarithm in the branch normalized by log(p) = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 
 from .errors import (
     ConvergenceError,
@@ -22,8 +21,8 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .ntheory import INFINITY, check_prime, modinv, vp_int
-from .polynomials import LaurentPolynomial, normalize
-from .roots import _horner
+from .polynomials import (LaurentPolynomial, _derivative, _horner, _poly_add,
+                          _poly_divmod, _poly_mul, _poly_sub, normalize)
 
 
 class PadicNumber:
@@ -240,7 +239,7 @@ def hensel_lift(f: LaurentPolynomial, p: int, start: int,
     coeffs = normalize(f).integer_coefficients_ascending()
     if len(coeffs) == 1:
         raise DomainError("a nonzero constant has no roots")
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    deriv = _derivative(coeffs)
     x = start % p**start_exponent
     fx = _horner(coeffs, x)
     dfx = _horner(deriv, x)
@@ -277,45 +276,6 @@ def hensel_lift(f: LaurentPolynomial, p: int, start: int,
     return PadicNumber(p, w, (x // p**w) % p**N, N)
 
 
-def _reduce(a, mod):
-    """Ascending coefficients reduced mod ``mod``, top zeros dropped."""
-    a = [c % mod for c in a]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_add(a, b, mod):
-    return _reduce([x + y for x, y in zip_longest(a, b, fillvalue=0)], mod)
-
-
-def _poly_sub(a, b, mod):
-    return _reduce([x - y for x, y in zip_longest(a, b, fillvalue=0)], mod)
-
-
-def _poly_mul(a, b, mod):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _reduce(out, mod)
-
-
-def _poly_divmod(a, h, mod):
-    """(q, r) with a = q h + r mod ``mod`` and deg r < deg h; h monic."""
-    d = len(h) - 1
-    r = list(a)
-    q = [0] * max(1, len(r) - d)
-    for k in range(len(r) - 1, d - 1, -1):
-        c = r[k] % mod
-        if c:
-            q[k - d] = c
-            for j in range(d + 1):
-                r[k - d + j] -= c * h[j]
-    return _reduce(q, mod), _reduce(r[:d], mod)
-
-
 def _unit_root_factor(F, p: int, K: int):
     """The monic factor f0 of F over Z_p whose roots are the p-adic units
     (the horizontal segment of the Newton polygon), modulo p^K.
@@ -340,8 +300,7 @@ def _unit_root_factor(F, p: int, K: int):
     s, h0_inv = [c_inv], modinv(h[0], p)
     for _ in range(i0):
         lam = s[0] * h0_inv
-        s = _reduce([x - lam * y for x, y in zip_longest(s, h, fillvalue=0)][1:],
-                    p)
+        s = _poly_sub(s, [lam * y for y in h], p)[1:]
     # t = (1 - s g) / h, an exact division since s g = 1 mod h
     t, _ = _poly_divmod(_poly_sub([1], _poly_mul(s, g, p), p), h, p)
     k = 1

@@ -6,14 +6,19 @@ stored (the zero polynomial is the empty map).  A MultivariatePolynomial
 has integer coefficients, non-negative exponent vectors of fixed arity,
 and exists to hold multivariable link polynomials before substitution
 collapses them to one variable.
+
+squarefree_split and LaurentPolynomial.gcd run over Z on primitive integer
+coefficient lists, with the list helpers at the end of this module, which
+also serve the Hensel lift modulo p^K.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
-from .errors import DomainError, ZeroPolynomialError
+from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .ntheory import INFINITY
 
 
@@ -208,53 +213,12 @@ class LaurentPolynomial:
 
     # -- division -----------------------------------------------------
 
-    def divmod_polynomial(self, divisor: "LaurentPolynomial"):
-        """Long division of the underlying ordinary polynomials.
-
-        Both operands are shifted so the minimal exponent is 0 first;
-        returns (quotient, remainder) with f_shifted = q * g_shifted + r.
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        f = self.shift(-self.low_degree) if not self.is_zero else self
-        g = divisor.shift(-divisor.low_degree)
-        q = {}
-        r = dict(f.terms)
-        dg = max(g.terms) if g.terms else 0
-        lead = g.terms[dg]
-        while r and max(r) >= dg:
-            e = max(r)
-            c = r[e] / lead
-            q[e - dg] = c
-            for ge, gc in g.terms.items():
-                k = e - dg + ge
-                nv = r.get(k, Fraction(0)) - c * gc
-                if nv == 0:
-                    r.pop(k, None)
-                else:
-                    r[k] = nv
-        return (LaurentPolynomial(q, self.variable),
-                LaurentPolynomial(r, self.variable))
-
-    def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact Laurent quotient: raises DomainError on nonzero remainder."""
-        q, r = self.divmod_polynomial(divisor)
-        if not r.is_zero:
-            raise DomainError("division is not exact")
-        # divmod_polynomial strips the powers of t; put them back
-        return q.shift(self.low_degree - divisor.low_degree)
-
     def gcd(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Monic gcd over the rationals of the shifted ordinary polynomials."""
-        a, b = self, other
-        while not b.is_zero:
-            _, r = a.divmod_polynomial(b)
-            a, b = b, r
-        if a.is_zero:
-            return a
-        # the last remainder may carry a power of t, which is a unit here
-        a = a.shift(-a.low_degree)
-        return a * (1 / a.leading_coefficient)
+        """Monic gcd over the rationals of the shifted ordinary polynomials
+        (0 when both are 0), computed over Z by _gcd."""
+        return _monic(_gcd(*(_primitive(g.coefficients_ascending())[2]
+                             for g in (self, other))),
+                      self._result_variable(other))
 
     # -- printing -----------------------------------------------------
 
@@ -387,12 +351,9 @@ def content_and_primitive(f: LaurentPolynomial):
         raise ZeroPolynomialError("the zero polynomial has no content")
     if not f.is_integral:
         raise DomainError("content requires integer coefficients")
-    content = 0
-    for c in f.terms.values():
-        content = math.gcd(content, int(c))
-    primitive = LaurentPolynomial(
-        {e: Fraction(int(c) // content) for e, c in f.terms.items()}, f.variable)
-    return content, primitive
+    content, _, q = _primitive(f.coefficients_ascending())
+    return content, LaurentPolynomial(dict(enumerate(q, f.low_degree)),
+                                      f.variable)
 
 
 def all_ones_polynomial(n: int, variable: str = "t") -> LaurentPolynomial:
@@ -413,26 +374,108 @@ def squarefree_split(f: LaurentPolynomial):
     """Yun's squarefree split of normalize(f) (Yun 1976; von zur Gathen-
     Gerhard, Modern Computer Algebra, 14.6): pairs (a_i, i), i increasing,
     the a_i monic, squarefree, nonconstant and pairwise coprime, with
-    normalize(f) = lead * prod a_i^i ([] for a constant f)."""
-    f = normalize(f)
-    f = f * (1 / f.leading_coefficient)
-    if f.degree == 0:
-        return []
-    df = f.derivative()
-    g = f.gcd(df)
-    if g.degree == 0:
-        return [(f, 1)]
-    # b_i = prod_{j >= i} a_j and d_i = sum_{j > i} (j - i) a_j' b_i / a_j,
-    # so gcd(b_i, d_i) = a_i
-    b = f.divide_exact(g)
-    d = df.divide_exact(g) - b.derivative()
-    pairs = []
-    i = 1
-    while b.degree > 0:
-        a = b.gcd(d)
-        b = b.divide_exact(a)
-        d = d.divide_exact(a) - b.derivative()
-        if a.degree > 0:
-            pairs.append((a, i))
+    normalize(f) = lead * prod a_i^i ([] for a constant f).  It runs on the
+    primitive part of f over Z, where the quotients by the primitive gcds
+    are exact by Gauss's lemma."""
+    if f.is_zero:
+        raise ZeroPolynomialError("the zero polynomial has no squarefree split")
+    b = _primitive(f.coefficients_ascending())[2]
+    d, pairs, i = _derivative(b), [], 0
+    # step 0 divides f and f' by their gcd, which is no a_i; before step i,
+    # b = prod_{j >= i} a_j and d = sum_{j > i} (j - i) a_j' b / a_j, so
+    # gcd(b, d) = a_i
+    while len(b) > 1:
+        a = _gcd(b, d)
+        (b, rb), (d, rd) = _poly_divmod(b, a), _poly_divmod(d, a)
+        if any(rb) or any(rd):
+            raise ConvergenceError("a primitive gcd left a remainder over Z")
+        d = _poly_sub(d, _derivative(b))
+        if i and len(a) > 1:
+            pairs.append((_monic(a, f.variable), i))
         i += 1
     return pairs
+
+
+# -- ascending coefficient lists c_0 .. c_d over Z, or over Z/mod where a
+# modulus is given; reducing drops top zeros down to a lone 0
+
+
+def _horner(coeffs, z):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def _derivative(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _reduce(a, mod=None):
+    """a reduced mod ``mod`` when given, top zeros dropped."""
+    a = [c % mod for c in a] if mod is not None else list(a)
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_add(a, b, mod=None):
+    return _reduce([x + y for x, y in zip_longest(a, b, fillvalue=0)], mod)
+
+
+def _poly_sub(a, b, mod=None):
+    return _reduce([x - y for x, y in zip_longest(a, b, fillvalue=0)], mod)
+
+
+def _poly_mul(a, b, mod=None):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _reduce(out, mod)
+
+
+def _poly_divmod(a, h, mod=None):
+    """(q, r) with a = q h + r and deg r < deg h, over Z/mod for a monic h,
+    or over Z when lead(h) divides every quotient coefficient (otherwise
+    ConvergenceError)."""
+    d, lead = len(h) - 1, h[-1]
+    r = list(a)
+    q = [0] * max(1, len(r) - d)
+    for k in range(len(r) - 1, d - 1, -1):
+        c, rest = divmod(r[k] if mod is None else r[k] % mod, lead)
+        if rest:
+            raise ConvergenceError("polynomial division is not exact over Z")
+        if c:
+            q[k - d] = c
+            for j in range(d + 1):
+                r[k - d + j] -= c * h[j]
+    return _reduce(q, mod), _reduce(r[:d], mod)
+
+
+def _primitive(coeffs):
+    """(g, den, q) with the exact coefficients (int or Fraction) equal to
+    g/den * q, q a primitive integer list (all 0 for zero), g, den >= 1."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    q = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*q) or 1
+    return g, den, [x // g for x in q]
+
+
+def _gcd(a, b):
+    """A primitive gcd over Z of reduced integer lists (zero for two zeros)
+    by the primitive Euclidean algorithm (Brown 1971): each pseudo-remainder
+    lead(b)^(deg a - deg b + 1) a mod b is replaced by its primitive part."""
+    if len(a) < len(b):
+        a, b = b, a
+    while any(b):
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        a, b = b, _primitive(_poly_divmod([scale * x for x in a], b)[1])[2]
+    return _primitive(a)[2]
+
+
+def _monic(q, variable):
+    """q / lead(q) as a LaurentPolynomial (zero for a zero list q)."""
+    return LaurentPolynomial(
+        {e: Fraction(c, q[-1]) for e, c in enumerate(q) if c}, variable)

@@ -38,9 +38,8 @@ from .errors import (
 )
 from .ntheory import check_prime, modinv, vp_int
 from .padics import PadicNumber, hensel_lift, padic_log, padic_log_of_int
-from .polynomials import LaurentPolynomial, normalize
+from .polynomials import LaurentPolynomial, _derivative, _horner, normalize
 from .resultants import cyclic_resultant_sweep
-from .roots import _horner
 from .valuations import NewtonPolygon
 
 STABILIZATION_WINDOW = 8
@@ -160,7 +159,7 @@ def _segment_residual_roots(f: LaurentPolynomial, p: int, slope,
         raise ConvergenceError(
             "rescaled polygon does not isolate the expected unit-root block")
     residual = [scaled[i] % p for i in range(i_a, i_b + 1)]
-    deriv = [k * c for k, c in enumerate(residual)][1:]
+    deriv = _derivative(residual)
     roots = [r for r in range(1, p)
              if _horner(residual, r) % p == 0 and _horner(deriv, r) % p]
     if len(roots) != length:

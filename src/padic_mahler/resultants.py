@@ -19,7 +19,6 @@ leading coefficient) before any resultant is taken.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import ConvergenceError, DomainError
@@ -27,6 +26,7 @@ from .ntheory import check_prime, vp_int
 from .padics import _unit_root_factor
 from .polynomials import (
     LaurentPolynomial,
+    _primitive,
     all_ones_polynomial,
     normalize,
     power_minus_one,
@@ -65,15 +65,6 @@ def bareiss_determinant(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _descending_int_coeffs(f: LaurentPolynomial):
-    """Clear denominators; return (integer coeffs highest-first, multiplier)
-    with multiplier * f integral."""
-    coeffs = f.coefficients_ascending()
-    mult = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    ints = [int(c * mult) for c in coeffs]
-    return list(reversed(ints)), mult
-
-
 def sylvester_matrix(f_desc, g_desc):
     """Sylvester matrix from descending integer coefficient lists."""
     m = len(f_desc) - 1
@@ -99,10 +90,11 @@ def resultant(f: LaurentPolynomial, g: LaurentPolynomial) -> Fraction:
         return f.leading_coefficient**dg
     if dg == 0:
         return g.leading_coefficient**df
-    fd, mf = _descending_int_coeffs(f)
-    gd, mg = _descending_int_coeffs(g)
-    det = bareiss_determinant(sylvester_matrix(fd, gd))
-    return Fraction(det) / (Fraction(mf) ** dg * Fraction(mg) ** df)
+    # R(c f, g) = c^deg(g) R(f, g), so the primitive parts suffice
+    gf, nf, fq = _primitive(f.coefficients_ascending())
+    gg, ng, gq = _primitive(g.coefficients_ascending())
+    det = bareiss_determinant(sylvester_matrix(fq[::-1], gq[::-1]))
+    return Fraction(det * gf**dg * gg**df, nf**dg * ng**df)
 
 
 # -- companion-matrix machinery -------------------------------------------

@@ -17,6 +17,7 @@ import math
 import mpmath
 
 from .errors import ConvergenceError
+from .polynomials import _derivative, _horner
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 PHASE_OFFSET = 0.4142135623730951  # fixed, breaks real-axis symmetry
@@ -24,19 +25,12 @@ PHASE_OFFSET = 0.4142135623730951  # fixed, breaks real-axis symmetry
 ITERATION_CAP = 200
 
 
-def _horner(coeffs, z):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
-
-
 def aberth_roots(monic):
     """All complex roots of the monic sum monic[i] * t^i (float64
     coefficients, len >= 2, nonzero constant term).  Returns (roots,
     radii)."""
     n = len(monic) - 1
-    deriv = [i * c for i, c in enumerate(monic)][1:]
+    deriv = _derivative(monic)
     cauchy = 1.0 + max(abs(c) for c in monic[:-1])
     radius = math.sqrt(cauchy)
     z = [radius * cmath.exp(1j * (PHASE_OFFSET + GOLDEN_ANGLE * k))
@@ -82,7 +76,7 @@ def polish_roots(coeffs, roots, digits):
     n = len(coeffs) - 1
     with mpmath.workdps(digits + 10):
         monic = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
-        deriv = [i * c for i, c in enumerate(monic)][1:]
+        deriv = _derivative(monic)
         out, radii = [], []
         for z0 in roots:
             z = mpmath.mpc(z0)

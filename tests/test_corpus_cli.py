@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 import time
 
@@ -389,6 +390,35 @@ class TestCli:
     def test_huge_monic_coefficient_exit_code(self, capsys):
         assert main(["mahler", "--poly", "t-10^400"]) == 6
         assert "float64" in capsys.readouterr().err
+
+    def test_random_degree_200(self, capsys):
+        rng = random.Random(200)
+        text = " + ".join(f"{rng.randint(-9, 9)}*t^{e}" for e in range(200))
+        start = time.perf_counter()
+        assert main(["mahler", "--poly", text + " + t^200", "--tol", "1e-9"]) == 0
+        assert time.perf_counter() - start < 60.0
+        assert "abs error" in capsys.readouterr().out
+
+    def test_closed_stdout_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        # `padic-mahler ... | head -c 1`: the reader closes the pipe early
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+            assert main(["--format", "json", "mahler",
+                         "--poly", "t^2-3*t+1"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_poly_exit_code(self, capsys):
         assert main(["mahler", "--place", "inf"]) == 4

@@ -131,6 +131,17 @@ class TestEuclidean:
         assert abs(m.value - math.log((3 + math.sqrt(5)) / 2)) <= 1e-12
         assert elapsed < 1.0
 
+    def test_random_degree_80(self):
+        # a squarefree input costs one primitive remainder sequence over Z
+        rng = random.Random(80)
+        f = LaurentPolynomial({e: rng.randint(-9, 9) for e in range(80)}
+                              | {80: rng.randint(1, 9)})
+        start = time.perf_counter()
+        m = mahler_euclidean(f, tol=1e-12)
+        assert time.perf_counter() - start < 10.0
+        assert m.error <= 1e-12
+        assert abs(m.value - numpy_log_mahler(f)) <= 1e-7
+
     def test_high_multiplicity(self):
         # (t-1)^1100 once exhausted the recursion limit; built from binomial
         # coefficients because parsing the power takes seconds

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,37 @@ class TestGcd:
         f, g = parse_laurent("t^3*(t-1)"), parse_laurent("t^-2*(t-1)*(t+5)")
         assert f.gcd(g) == parse_laurent("t - 1")
 
+    def test_zero(self):
+        zero, f = LaurentPolynomial.zero(), parse_laurent("2*t^2 - 4")
+        assert zero.gcd(zero) == 0
+        assert zero.gcd(f) == f.gcd(zero) == parse_laurent("t^2 - 2")
+
+    def test_matches_sympy_gcd(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def to_sympy(a):
+            return sympy.Poly(list(reversed(a.coefficients_ascending())), x,
+                              domain=sympy.QQ)
+
+        def rational(lo, hi):
+            return LaurentPolynomial(
+                {e: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                 for e in range(rng.randint(lo, hi))})
+
+        rng = random.Random(13)
+        for _ in range(60):
+            shared = rational(1, 5)
+            f = (rational(1, 6) * shared).shift(rng.randint(-4, 4))
+            g = (rational(1, 6) * shared).shift(rng.randint(-4, 4))
+            if f.is_zero or g.is_zero:
+                continue
+            got = f.gcd(g)
+            assert got.low_degree == 0
+            assert to_sympy(got) == sympy.gcd(
+                to_sympy(f.shift(-f.low_degree)),
+                to_sympy(g.shift(-g.low_degree))).monic()
+
 
 class TestSquarefreeSplit:
     def test_product_recovers_input(self):
@@ -229,6 +261,19 @@ class TestSquarefreeSplit:
         f = LaurentPolynomial(
             {k: math.comb(1100, k) * (-1) ** (1100 - k) for k in range(1101)})
         assert [(str(a), i) for a, i in squarefree_split(f)] == [("t - 1", 1100)]
+
+    def test_fifty_digit_coefficients(self):
+        # the gcds run over Z on primitive parts: no rational long division
+        # with its growing denominators
+        rng = random.Random(30)
+        h = LaurentPolynomial(
+            {e: rng.randint(-10**50, 10**50) for e in range(29)})
+        f = h * parse_laurent("2*t - 3")**2
+        start = time.perf_counter()
+        pairs = squarefree_split(f)
+        assert time.perf_counter() - start < 5.0
+        assert pairs == [(h * (1 / h.leading_coefficient), 1),
+                         (parse_laurent("t - 3/2"), 2)]
 
     def test_matches_sympy_sqf_list(self):
         sympy = pytest.importorskip("sympy")
