@@ -16,14 +16,18 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .ntheory import INFINITY, check_prime, vp_int
-from .polynomials import LaurentPolynomial, normalize, squarefree_split
+from .polynomials import (LaurentPolynomial, _primitive, normalize,
+                          squarefree_split)
 from .resultants import cyclic_resultant_sweep
-from .roots import aberth_roots, polish_roots
+from .roots import aberth_roots, dyadic, polish_roots
 from .valuations import gauss_norm_valuation, gauss_valuation_from_polygon
+
+# fixed-point bits of the first polish beyond those of a factor's share of
+# tol, and the most bits tried before a refusal
+POLISH_BITS = 32
+POLISH_BITS_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -58,26 +62,53 @@ class LogMeasure:
         return out
 
 
-def _root_contributions(roots, radii, log=math.log):
-    """(sum of log max(|z|,1), certified error bound, number of logs
-    summed), in the arithmetic of the roots: float, or mpmath with
-    ``log=mpmath.log``.  (None, inf, 0) unless the disks are bounded and
-    pairwise disjoint, since only then does each hold exactly one root."""
-    if not all(math.isfinite(b) for b in radii) or not all(
-            abs(roots[j] - roots[k]) > radii[j] + radii[k]
-            for k in range(len(roots)) for j in range(k)):
+def _root_contributions(centres, radii, bits):
+    """(sum of log max(|z|,1), certified error bound, float roundings in
+    the sum) for the roots z = (x + iy) / 2^bits of the exact centres
+    (x, y), each in a disk of its float radius.  (None, inf, 0) unless the
+    disks are bounded and pairwise disjoint, since only then does each hold
+    exactly one root.  A disk inside |z| <= 1 adds exactly 0; any other
+    adds log|z| = log1p(|z|^2 - 1) / 2, with |z|^2 - 1 exact, and the error
+    term b / max(|z| - b, 1) rounded upward, which bounds how far
+    log max(|w|, 1) strays from log max(|z|, 1) for |w - z| <= b."""
+    if not all(math.isfinite(b) for b in radii):
         return None, math.inf, 0
-    total = 0.0
-    err = 0.0
-    count = 0
-    for z, b in zip(roots, radii):
-        r = abs(z)
-        if r + b <= 1.0:
+    # work on a grid 2^64 times finer than the centres' and round each
+    # radius up onto it
+    bits += 64
+    one = 1 << bits
+    centres = [(x << 64, y << 64) for x, y in centres]
+    rad = [-((-num << bits) // den)
+           for num, den in (b.as_integer_ratio() for b in radii)]
+    # sweep in order of real part: two disks farther apart in x than their
+    # radii are disjoint, and so is every disk beyond them
+    order = sorted(range(len(centres)), key=lambda k: centres[k][0])
+    widest = max(rad)
+    for pos, j in enumerate(order):
+        xj, yj = centres[j]
+        for k in order[pos + 1:]:
+            xk, yk = centres[k]
+            if xk - xj > rad[j] + widest:
+                break
+            if (xk - xj) ** 2 + (yk - yj) ** 2 <= (rad[j] + rad[k]) ** 2:
+                return None, math.inf, 0
+    total, terms = 0.0, []
+    for (x, y), b in zip(centres, rad):
+        norm = x * x + y * y
+        low = math.isqrt(norm)
+        if low + (low * low < norm) + b <= one:
             continue
-        total += log(max(r, 1.0))
-        count += 1
-        err += log(max(r + b, 1.0)) - log(max(r - b, 1.0))
-    return total, err, count
+        excess = norm - one * one
+        if excess > 0:
+            # |z|^2 - 1 is exact; beyond float64, floor(|z|^2) is as good
+            total += 0.5 * (math.log1p(excess / (one * one))
+                            if excess.bit_length() < 1000 + 2 * bits
+                            else math.log(norm >> 2 * bits))
+        terms.append(math.nextafter(b / max(low - b, one), math.inf))
+    # each log: the quotient, log1p and the sum; fsum of the rounded-up
+    # terms is off by at most half an ulp, so one more ulp covers it
+    return (total, math.nextafter(math.fsum(terms), math.inf),
+            3 * len(terms))
 
 
 def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
@@ -85,14 +116,19 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
 
     log M(f) = log|lead f| + sum_i i * log M(a_i) over Yun's squarefree
     split f = lead * prod a_i^i, with one root pass per distinct factor.
-    A factor is measured from its float64 roots when they certify its
-    share of tol, else from its polished roots at the polish precision,
-    the error rounded outward to float.  The error bound covers the root
-    enclosures and, as a rounding allowance, (k + 1) ulp(M) for the k float
-    roundings (each root log of a_i counted i times), M the largest
-    magnitude among the logs and the partial sums; it is never 0.  A factor
-    with Fujiwara's root bound below 1 adds exactly 0; any other whose
-    coefficients do not fit float64 is refused with ConvergenceError.
+    A factor is measured from its float64 roots, taken as exact dyadic
+    centres, when their a-priori radii certify its share of tol.  Else the
+    roots are polished (Newton with Aberth's repulsion) on the primitive
+    integer coefficients of a_i in fixed point, at POLISH_BITS bits more
+    than the share asks for, the bits doubling while the disks overlap or
+    miss the share, up to POLISH_BITS_CAP; their radii are exact residual
+    bounds.  The error
+    bound covers the root enclosures and, as a rounding allowance,
+    (k + 1) ulp(M) for the k float roundings (each root log of a_i counted
+    i times), M the largest magnitude among the logs and the partial sums;
+    it is never 0.  A factor with Fujiwara's root bound below 1 adds
+    exactly 0; any other whose coefficients do not fit float64 is refused
+    with ConvergenceError.
     """
     if f.is_zero:
         raise ZeroPolynomialError("Mahler measure of the zero polynomial")
@@ -118,24 +154,18 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
         except OverflowError:
             raise ConvergenceError(
                 "a squarefree factor has coefficients beyond float64") from None
-        contrib, err, count = _root_contributions(roots, radii)
-        if err > budget:
-            digits = max(25, int(-math.log10(budget)) + 12)
-            roots, radii = polish_roots(coeffs, roots, digits)
-            with mpmath.workdps(digits + 10):
-                exact, err, count = _root_contributions(roots, radii,
-                                                        mpmath.log)
-                if exact is not None:
-                    contrib = float(exact)
-                    # the rounding to float, and of each working-precision
-                    # log and sum
-                    err = math.nextafter(float(
-                        err + abs(exact - contrib)
-                        + 4 * (count + 1) * mpmath.mp.eps * (exact + err + 1)),
-                        math.inf)
-            if err > budget:
+        centres, bits = dyadic(roots)
+        contrib, err, count = _root_contributions(centres, radii, bits)
+        target = POLISH_BITS + max(0, -math.frexp(budget)[1])
+        while err > budget:
+            if target > POLISH_BITS_CAP:
                 raise ConvergenceError(
                     "root finder could not certify the requested tolerance")
+            centres = [(x << target >> bits, y << target >> bits)
+                       for x, y in centres]
+            bits, target = target, 2 * target
+            centres, radii = polish_roots(_primitive(coeffs)[2], centres, bits)
+            contrib, err, count = _root_contributions(centres, radii, bits)
         value += i * contrib
         error += i * err
         logs += i * count + 1

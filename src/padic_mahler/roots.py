@@ -4,17 +4,17 @@ Initial guesses are placed deterministically on a circle of radius
 sqrt(Cauchy bound) with golden-angle spacing, so runs are reproducible.
 Each returned root carries the classical residual radius
 n * |f(z)| / |f'(z)|: a disk of that radius around z contains a root of f.
-When float64 cannot certify the caller's tolerance the roots are polished
-with a fixed number of high-precision Newton steps (mpmath) and the radii
-recomputed, both kept as mpmath values.
+In float64 the radius is an a-priori bound that absorbs the rounding of
+the evaluation.  When that cannot certify the caller's tolerance the roots
+are polished in fixed point on the exact integer coefficients: a centre is
+a dyadic point (x + iy) / 2^bits with x, y Python ints, and its radius is
+evaluated exactly at that point and rounded up to a float.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-
-import mpmath
 
 from .errors import ConvergenceError
 from .polynomials import _derivative, _horner
@@ -23,23 +23,34 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 PHASE_OFFSET = 0.4142135623730951  # fixed, breaks real-axis symmetry
 
 ITERATION_CAP = 200
+POLISH_STEPS = 100
 
 
 def aberth_roots(monic):
     """All complex roots of the monic sum monic[i] * t^i (float64
     coefficients, len >= 2, nonzero constant term).  Returns (roots,
-    radii)."""
+    radii).  The iteration stops once every step is tiny or every residual
+    |f(z_i)| lies within the float error bound of its evaluation, the
+    noise floor below which steps only jitter."""
     n = len(monic) - 1
     deriv = _derivative(monic)
-    cauchy = 1.0 + max(abs(c) for c in monic[:-1])
+    sizes = [abs(c) for c in monic]
+    cauchy = 1.0 + max(sizes[:-1])
     radius = math.sqrt(cauchy)
     z = [radius * cmath.exp(1j * (PHASE_OFFSET + GOLDEN_ANGLE * k))
          for k in range(n)]
+
+    def slack(zi):
+        # bounds the rounding of the coefficients and of Horner's rule
+        return 8.0 * n * 2.2e-16 * _horner(sizes, max(1.0, abs(zi)))
+
     for _ in range(ITERATION_CAP):
         moved = 0.0
+        noisy = True
         for i in range(n):
             zi = z[i]
             fv = _horner(monic, zi)
+            noisy = noisy and abs(fv) <= slack(zi)
             if fv == 0:
                 continue
             dv = _horner(deriv, zi)
@@ -50,50 +61,103 @@ def aberth_roots(monic):
             step = fv / denom
             z[i] = zi - step
             moved = max(moved, abs(step))
-        if moved < 1e-14 * max(1.0, radius):
+        if noisy or moved < 1e-14 * max(1.0, radius):
             break
     else:
         raise ConvergenceError(
             f"Aberth iteration did not settle within {ITERATION_CAP} steps")
+    if not all(cmath.isfinite(zi) for zi in z):
+        raise ConvergenceError("Aberth iteration left the float64 range")
     radii = []
     for zi in z:
         fv = abs(_horner(monic, zi))
         dv = abs(_horner(deriv, zi))
-        scale = sum(abs(c) * max(1.0, abs(zi)) ** k for k, c in enumerate(monic))
-        slack = 8.0 * n * 2.2e-16 * scale
-        if dv <= slack:
-            radii.append(math.inf)
-        else:
-            radii.append(n * (fv + slack) / (dv - slack))
+        s = slack(zi)
+        radii.append(math.inf if dv <= s else n * (fv + s) / (dv - s))
     return z, radii
 
 
-def polish_roots(coeffs, roots, digits):
-    """Newton-polish approximate roots at `digits` decimal digits from the
-    exact rational coefficients of a monic polynomial; returns (roots,
-    radii) as mpmath values, so a caller working at `digits` + 10 loses
-    none of them."""
-    n = len(coeffs) - 1
-    with mpmath.workdps(digits + 10):
-        monic = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
-        deriv = _derivative(monic)
-        out, radii = [], []
-        for z0 in roots:
-            z = mpmath.mpc(z0)
-            for _ in range(60):
-                fv = _horner(monic, z)
-                dv = _horner(deriv, z)
-                if dv == 0:
-                    break
-                step = fv / dv
-                z = z - step
-                if abs(step) < mpmath.mpf(10) ** (-(digits + 5)):
-                    break
-            fv = abs(_horner(monic, z))
-            dv = abs(_horner(deriv, z))
-            if dv == 0:
-                radii.append(mpmath.inf)
-            else:
-                radii.append(n * fv / dv + mpmath.mpf(10) ** (-(digits + 2)))
-            out.append(z)
-    return out, radii
+def dyadic(roots):
+    """(centres, bits) with each complex float root equal to the exact
+    dyadic point (x + iy) / 2^bits of its centre (x, y)."""
+    parts = [v.as_integer_ratio() for z in roots for v in (z.real, z.imag)]
+    bits = max(den for _, den in parts).bit_length() - 1
+    ints = [num << bits >> den.bit_length() - 1 for num, den in parts]
+    return list(zip(ints[::2], ints[1::2])), bits
+
+
+def polish_roots(q, centres, bits):
+    """Polish approximate roots of the squarefree integer polynomial
+    f = sum q[i] * t^i in fixed point at 2^-bits: a centre (x, y) is the
+    dyadic point (x + iy) / 2^bits.  Each step is Newton's, with Aberth's
+    repulsion from the other centres so two approximations near one root
+    do not merge; a centre stops at the noise floor of the fixed-point
+    evaluation, or after POLISH_STEPS sweeps.  Returns (centres, radii),
+    each radius a float >= deg(f) * |f(z)| / |f'(z)| evaluated exactly at
+    its centre (inf where f'(z) = 0), so the disk holds a root of f."""
+    d, one = len(q) - 1, 1 << bits
+    top = [c << bits for c in q]
+    zs = list(centres)
+    settled = [False] * len(zs)
+    for _ in range(POLISH_STEPS):
+        for i, (x, y) in enumerate(zs):
+            if settled[i]:
+                continue
+            # f(z) 2^bits = fr + i fi and f'(z) 2^bits = dr + i di, each
+            # product truncated to the fixed-point grid
+            fr, fi, dr, di = top[-1], 0, 0, 0
+            for c in reversed(top[:-1]):
+                dr, di = (((dr * x - di * y) >> bits) + fr,
+                          ((dr * y + di * x) >> bits) + fi)
+                fr, fi = (((fr * x - fi * y) >> bits) + c,
+                          (fr * y + fi * x) >> bits)
+            # settled once the residual is within what a move of one grid
+            # unit or the truncations (< 2d max(1, |z|)^(d-1) units) explain
+            size = max(0, max(abs(x), abs(y)).bit_length() + 1 - bits)
+            noise = 1 << (d - 1) * size + (2 * d).bit_length()
+            den = dr * dr + di * di
+            if not den or max(abs(fr), abs(fi)) <= \
+                    4 * ((max(abs(dr), abs(di)) >> bits) + noise):
+                settled[i] = True
+                continue
+            sr = ((fr * dr + fi * di) << bits) // den
+            si = ((fi * dr - fr * di) << bits) // den
+            # Aberth's factor 1 / (1 - N S), N the Newton step and S the sum
+            # of 1 / (z - w) over the other centres w, in float from exact
+            # differences; it steers the step and certifies nothing
+            repel = sum(1 / complex((x - u) / one, (y - v) / one)
+                        for u, v in zs if u != x or v != y)
+            g = 1 - complex(sr / one, si / one) * repel
+            if g and abs(g) > 1e-30:
+                g = 1 / g
+                gr, gi = round(g.real * 2 ** 60), round(g.imag * 2 ** 60)
+                sr, si = (sr * gr - si * gi) >> 60, (sr * gi + si * gr) >> 60
+            zs[i] = (x - sr, y - si)
+        if all(settled):
+            break
+    return zs, [_residual_radius(q, x, y, bits) for x, y in zs]
+
+
+def _residual_radius(q, x, y, bits):
+    """A float >= d * |f(z)| / |f'(z)| at z = (x + iy) / 2^bits, from an
+    exact Horner evaluation over the Gaussian integers (inf where f'(z) = 0
+    or beyond float64)."""
+    d = len(q) - 1
+    fr, fi, dr, di = q[-1], 0, 0, 0
+    for k, c in enumerate(reversed(q[:-1]), 1):
+        dr, di = dr * x - di * y + fr, dr * y + di * x + fi
+        fr, fi = fr * x - fi * y + (c << bits * k), fr * y + fi * x
+    # f(z) 2^(d bits) = fr + i fi and f'(z) 2^((d-1) bits) = dr + i di, so
+    # the radius is sqrt(num / den); s / 2^k is its root rounded up, with
+    # 2^k large enough that s carries more than 53 bits
+    num, den = d * d * (fr * fr + fi * fi), (dr * dr + di * di) << 2 * bits
+    if not den:
+        return math.inf
+    k = max(0, den.bit_length() - num.bit_length() + 110) // 2
+    square = -((-num << 2 * k) // den)
+    s = math.isqrt(square)
+    s += s * s < square
+    try:
+        return math.nextafter(s / (1 << k), math.inf)
+    except OverflowError:
+        return math.inf

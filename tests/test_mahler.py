@@ -1,12 +1,22 @@
+import importlib.util
+import json
 import math
+import pathlib
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_mahler import mahler
+from padic_mahler.cli import main
 from padic_mahler.errors import (
     ConvergenceError,
     DomainError,
@@ -21,7 +31,7 @@ from padic_mahler.ntheory import INFINITY, vp_int
 from padic_mahler.parsing import parse_laurent
 from padic_mahler.polynomials import LaurentPolynomial, normalize
 from padic_mahler.resultants import cyclic_resultant
-from padic_mahler.roots import aberth_roots
+from padic_mahler.roots import aberth_roots, dyadic
 
 P = parse_laurent
 
@@ -35,6 +45,43 @@ def numpy_log_mahler(f):
         for z in np.roots(coeffs):
             total += math.log(max(abs(z), 1.0))
     return total
+
+
+TRUTH_DPS = 40
+
+
+def mpmath_log_mahler(f):
+    """Independent 40-digit oracle: sympy's factorization over Z, then
+    Jensen's formula on mpmath.polyroots of each factor."""
+    t = sympy.Symbol("t")
+    f = normalize(f)
+    poly = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * t**e
+                          for e, c in f.terms.items()), t)
+    content, factors = poly.factor_list()
+    with mpmath.workdps(TRUTH_DPS):
+        total = mpmath.log(abs(mpmath.mpf(content.p) / content.q))
+        for factor, mult in factors:
+            coeffs = [int(c) for c in factor.all_coeffs()]
+            part = mpmath.log(abs(mpmath.mpf(coeffs[0])))
+            if len(coeffs) > 1:
+                for z in mpmath.polyroots(coeffs, maxsteps=400,
+                                          extraprec=200):
+                    part += mpmath.log(max(mpmath.mpf(1), abs(z)))
+            total += mult * part
+        return total
+
+
+def honest(value, error, truth):
+    """|value - truth| <= error, decided at the oracle's precision; 10^-30
+    covers the oracle's own rounding of logs of size up to ~10^3."""
+    with mpmath.workdps(TRUTH_DPS):
+        return abs(mpmath.mpf(value) - truth) <= \
+            mpmath.mpf(error) + mpmath.mpf(10) ** -30
+
+
+def near_double(a, k):
+    """(t - a)(t - a - 10^-k): two roots 10^-k apart."""
+    return P(f"(t-({a}))*(t-({a})-1/10^{k})")
 
 
 class TestEuclidean:
@@ -167,14 +214,55 @@ class TestEuclidean:
             return
         assert abs(m.value - truth) <= m.error <= tol
 
+    @pytest.mark.parametrize("a", ["1", "2", "3/2", "5/4", "-1", "-3/2",
+                                   "7/3", "1/2"])
+    @pytest.mark.parametrize("k", [12, 15, 18, 20, 25])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-13, 1e-15])
+    def test_near_double_roots_are_honest(self, a, k, tol):
+        # polished radii once carried a constant 10^-(digits+2) in place
+        # of a residual that cancels to noise between the two roots
+        f = near_double(a, k)
+        try:
+            m = mahler_euclidean(f, tol)
+        except ConvergenceError:
+            return
+        assert honest(m.value, m.error, mpmath_log_mahler(f))
+
+    @pytest.mark.parametrize("text", [
+        "(2*t-3)*(2000000000000*t-3000000000002)",
+        "(t-1)*(1000000000000*t-1000000000001)"])
+    def test_cli_near_double_roots_are_honest(self, text, capsys):
+        code = main(["--format", "json", "mahler", "--poly", text,
+                     "--tol", "1e-9"])
+        out = capsys.readouterr().out
+        assert code in (0, 6)
+        if code == 0:
+            d = json.loads(out)
+            assert honest(d["log_value"], d["abs_error"],
+                          mpmath_log_mahler(P(text)))
+
+    @pytest.mark.parametrize("m", [7, 10, 20])
+    def test_wilkinson_products_answer(self, m, capsys):
+        # ill-conditioned roots jitter in float64 above any fixed step
+        # size; Aberth must stop at the noise floor instead of refusing
+        text = "*".join(f"(t-{k})" for k in range(1, m + 1))
+        assert main(["--format", "json", "mahler", "--poly", text]) == 0
+        d = json.loads(capsys.readouterr().out)
+        with mpmath.workdps(TRUTH_DPS):
+            truth = mpmath.log(mpmath.factorial(m))
+        assert honest(d["log_value"], d["abs_error"], truth)
+
     def test_overlapping_disks_certify_nothing(self):
         # two disks that meet may share one root and miss another
+        centres, bits = dyadic([1.5, 1.5 + 1e-9])
         assert mahler._root_contributions(
-            [1.5, 1.5 + 1e-9], [1e-6, 1e-6]) == (None, math.inf, 0)
+            centres, [1e-6, 1e-6], bits) == (None, math.inf, 0)
+        centres, bits = dyadic([1.5, 2.5])
         total, err, count = mahler._root_contributions(
-            [1.5, 2.5], [1e-6, 1e-6])
+            centres, [1e-6, 1e-6], bits)
         assert abs(total - math.log(3.75)) <= 1e-15 and 0 < err < 1e-5
-        assert count == 2
+        # the quotient, log1p and the sum, for each of the two logs
+        assert count == 6
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
@@ -184,6 +272,75 @@ class TestEuclidean:
     def test_nonpositive_tolerance_rejected(self, tol):
         with pytest.raises(DomainError):
             mahler_euclidean(P("t^2 - 3*t + 1"), tol)
+
+
+@st.composite
+def measured_polynomials(draw):
+    """Random integer polynomials of degree <= 8, and products with two
+    roots 10^-k apart."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=9))
+        f = LaurentPolynomial(dict(enumerate(coeffs)))
+        return f if not f.is_zero else P("t - 2")
+    a = draw(st.fractions(-3, 3, max_denominator=7))
+    g = LaurentPolynomial(dict(enumerate(
+        draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4)))))
+    if g.is_zero:
+        g = P("1")
+    return near_double(a, draw(st.integers(8, 30))) * g
+
+
+@settings(max_examples=60, deadline=None)
+@given(measured_polynomials(), st.sampled_from([1e-9, 1e-12, 1e-14]))
+def test_euclidean_measure_against_40_digit_oracle(f, tol):
+    try:
+        m = mahler_euclidean(f, tol)
+    except ConvergenceError:
+        return
+    assert m.error <= tol
+    assert honest(m.value, m.error, mpmath_log_mahler(f))
+
+
+def test_measures_reference_errors_cover_the_truth():
+    # the bench gate checks each value against the requested tol only; the
+    # reported error must also cover the stored 40-digit truth, which is
+    # itself a rounded float
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((bench / "reference" / "measures.json").read_text())
+    checked = 0
+    for key, op in workloads.pool("measures").items():
+        if op["kind"] != "mahler" or "error" in reference["ops"][key]:
+            continue
+        truth = reference["truth"][op["args"]["text"]]
+        m = mahler_euclidean(P(op["args"]["text"]), op["args"]["tol"])
+        assert abs(m.value - truth) <= m.error + math.ulp(truth), key
+        checked += 1
+    assert checked
+
+
+def test_runs_without_mpmath():
+    # mpmath is a test-only oracle: importing the package and polishing
+    # roots must not need it
+    code = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "import padic_mahler as pm\n"
+        "from padic_mahler import mahler\n"
+        "calls = []\n"
+        "polish = mahler.polish_roots\n"
+        "mahler.polish_roots = lambda *a: calls.append(1) or polish(*a)\n"
+        "f = pm.parse_laurent('(t-1)*(t-100000000000000000001"
+        "/100000000000000000000)')\n"
+        "m = pm.mahler_euclidean(f, 1e-13)\n"
+        "print(calls, abs(m.value - 1e-20) <= m.error)\n")
+    src = pathlib.Path(mahler.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[1]", "True"]
 
 
 class TestPadic:
