@@ -87,6 +87,13 @@ def _require_nonzero_tower_resultants(A: LaurentPolynomial, p: int):
             f"the resultant tower degenerates")
 
 
+def _guarded(A: LaurentPolynomial, p: int) -> LaurentPolynomial:
+    """The prepared A, after the guard every tower computation needs."""
+    A = _prepare(A, p)
+    _require_nonzero_tower_resultants(A, p)
+    return A
+
+
 def mu_invariant(A: LaurentPolynomial, p: int) -> int:
     """mu = min_i v_p(a_i), the Gauss-norm valuation."""
     A = _prepare(A, p)
@@ -98,8 +105,11 @@ def lambda_invariant(A: LaurentPolynomial, p: int) -> int:
     by Weierstrass preparation the number of roots T of A(1+T)/p^mu with
     v_p(T) > 0, including T = 0.  (The Taylor shift is invertible over Z,
     so min_i v_p(c_i) is the Gauss-norm valuation mu of A.)"""
-    A = _prepare(A, p)
-    _require_nonzero_tower_resultants(A, p)
+    return _lambda(_guarded(A, p), p)
+
+
+def _lambda(A: LaurentPolynomial, p: int) -> int:
+    """lambda_invariant of a prepared, guarded A."""
     mu = gauss_norm_valuation(A, p)
     c = A.integer_coefficients_ascending()
     for i in range(len(c) - 1):          # integer Taylor shift t -> 1 + T
@@ -110,8 +120,11 @@ def lambda_invariant(A: LaurentPolynomial, p: int) -> int:
 
 def tower_order_valuations(A: LaurentPolynomial, p: int, r_max: int):
     """e_r = v_p(|R(A, nu_{p^r})|) for r = 1..r_max, exactly."""
-    A = _prepare(A, p)
-    _require_nonzero_tower_resultants(A, p)
+    return _tower(_guarded(A, p), p, r_max)
+
+
+def _tower(A: LaurentPolynomial, p: int, r_max: int):
+    """tower_order_valuations of a prepared, guarded A."""
     return cyclic_resultant_valuation(
         A, [p**r for r in range(1, r_max + 1)], p)
 
@@ -120,9 +133,14 @@ def fit_invariants(A: LaurentPolynomial, p: int, r_max: int = 6) -> IwasawaInvar
     """Solve e_r = lambda*r + mu*p^r + nu on a trailing window of exact
     resultant valuations; returns the invariants and the least r0 from
     which the formula holds verbatim."""
+    return _fit(_guarded(A, p), p, r_max)
+
+
+def _fit(A: LaurentPolynomial, p: int, r_max: int) -> IwasawaInvariants:
+    """fit_invariants of a prepared, guarded A."""
     if r_max < 3:
         raise DomainError("fitting needs r_max >= 3")
-    e = tower_order_valuations(A, p, r_max)
+    e = _tower(A, p, r_max)
 
     def model_from_tail():
         d1 = e[-2] - e[-3]
@@ -189,9 +207,10 @@ def verify_consistency(A: LaurentPolynomial, p: int,
     if sum(c) == 0 == sum(i * x for i, x in enumerate(c)):
         raise DomainError(
             "A has a multiple zero at t = 1; the homology model breaks")
-    lam = lambda_invariant(A, p)
-    mu = mu_invariant(A, p)
-    fitted = fit_invariants(A, p, r_max)
+    _require_nonzero_tower_resultants(A, p)
+    lam = _lambda(A, p)
+    mu = gauss_norm_valuation(A, p)
+    fitted = _fit(A, p, r_max)
     report = ConsistencyReport(p, lam, mu, fitted)
     if not report.consistent:
         raise ConvergenceError(

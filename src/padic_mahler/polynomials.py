@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .ntheory import INFINITY
@@ -405,6 +405,16 @@ def _horner(coeffs, z):
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
+
+
+def _split_t_minus_one(c):
+    """(m, q) with c = (t - 1)^m q and q(1) != 0, for a nonzero list c:
+    each quotient by t - 1 is the list of suffix sums of c_1 .. c_d."""
+    m = 0
+    while len(c) > 1 and sum(c) == 0:
+        c = list(accumulate(c[:0:-1]))[::-1]
+        m += 1
+    return m, c
 
 
 def _derivative(a):

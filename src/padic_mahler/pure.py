@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .errors import (
     ConvergenceError,
@@ -38,8 +37,14 @@ from .errors import (
 )
 from .ntheory import check_prime, modinv, vp_int
 from .padics import PadicNumber, hensel_lift, padic_log, padic_log_of_int
-from .polynomials import LaurentPolynomial, _derivative, _horner, normalize
-from .resultants import cyclic_resultant_sweep
+from .polynomials import (
+    LaurentPolynomial,
+    _derivative,
+    _horner,
+    _split_t_minus_one,
+    normalize,
+)
+from .resultants import cyclic_resultant, cyclic_resultant_sweep
 from .valuations import NewtonPolygon
 
 STABILIZATION_WINDOW = 8
@@ -258,19 +263,18 @@ def pure_link_growth(A: LaurentPolynomial, d: int, p: int,
                      n_budget: int = 120, precision: int = 40) -> PurePadicResult:
     """p-adic limit of (1/n) log_p (|R(A, nu_n)| |H(1)| / n^(d-1)) for
     A = (t-1)^(d-1) H with H(1) != 0: equals the purely p-adic measure of
-    H.  Both sweeps are tied n by n through the identity
-    |R(A, nu_n)| |H(1)| = |R(H, t^n - 1)| n^(d-1)."""
+    H.  The growth numbers are read off one sweep of R(H, t^n - 1) through
+    the identity |R(A, nu_n)| |H(1)| = |R(H, t^n - 1)| n^(d-1), which is
+    checked at the largest n against A's own companion matrix."""
     check_prime(p)
     if d < 1:
         raise DomainError("component count d must be >= 1")
     A = normalize(A)
-    c = A.coefficients_ascending()
-    for _ in range(d - 1):
-        if sum(c):
-            raise DomainError(
-                f"(t-1)-multiplicity of A is smaller than d-1 = {d - 1}")
-        c = list(accumulate(c[:0:-1]))[::-1]     # c / (t - 1): suffix sums
-    if sum(c) == 0:
+    m, c = _split_t_minus_one(A.coefficients_ascending())
+    if m < d - 1:
+        raise DomainError(
+            f"(t-1)-multiplicity of A is smaller than d-1 = {d - 1}")
+    if m > d - 1:
         raise DomainError(
             f"(t-1)-multiplicity of A exceeds d-1 = {d - 1}; H(1) = 0")
     H = _defined_integral(LaurentPolynomial(dict(enumerate(c)), A.variable),
@@ -278,15 +282,15 @@ def pure_link_growth(A: LaurentPolynomial, d: int, p: int,
     h1 = abs(int(H(1)))
     used = [n for n in range(1, n_budget + 1) if math.gcd(n, p) == 1]
     estimates = []
-    for n, ones, full in zip(used, cyclic_resultant_sweep(A, used, "ones"),
-                             cyclic_resultant_sweep(H, used, "full")):
-        if abs(ones) * h1 != abs(full) * n ** (d - 1):
-            raise ConvergenceError("resultant factorization identity failed")
+    for n, full in zip(used, cyclic_resultant_sweep(H, used, "full")):
         # the growth number |R(A, nu_n)| |H(1)| / n^(d-1) is |R(H, t^n - 1)|,
         # so one sequence serves the growth limit and the measure of H, and
         # the two agree to every certified digit
         estimates.append(_log_over_n(full, n, p, precision))
     value, certified, window_n = _stabilized_window(estimates, used, precision)
+    # the window is not empty, so n and full hold the largest n and its value
+    if abs(cyclic_resultant(A, n, "ones")) * h1 != abs(full) * n ** (d - 1):
+        raise ConvergenceError("resultant factorization identity failed")
     return PurePadicResult(
         p, value, "estimator",
         {"d": d, "H": str(H), "H_at_1": h1, "window_n": window_n,

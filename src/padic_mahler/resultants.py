@@ -4,12 +4,19 @@ The signed resultant of f = a*prod(t - alpha_i), g = b*prod(t - beta_j) is
 
     R(f, g) = a^deg(g) * b^deg(f) * prod_{i,j} (alpha_i - beta_j),
 
-the determinant of the Sylvester matrix.  Two independent routes are kept
-deliberately: fraction-free Bareiss elimination on the Sylvester matrix
-(the oracle), and exact companion-matrix powering for the cyclic resultant
-R(f, nu_n), nu_n = 1 + t + ... + t^(n-1) (the fast path), which also gives
-R(f, t^n - 1) = R(f, t - 1) R(f, nu_n) with R(f, t - 1) = (-1)^deg(f) f(1).
-Their agreement is itself part of the test suite.
+the determinant of the Sylvester matrix.  Three routes are kept:
+
+* the oracle: fraction-free Bareiss elimination on the Sylvester matrix;
+* one n: the cyclic resultant R(f, nu_n), nu_n = 1 + t + ... + t^(n-1),
+  as one Bareiss determinant of nu_n over the scaled companion matrix,
+  built by binary powering (cyclic_resultant), which also gives
+  R(f, t^n - 1) = R(f, t - 1) R(f, nu_n) with R(f, t - 1) = (-1)^deg(f) f(1);
+* dense runs of n: the trace sweep (cyclic_resultant_sweep), which reads
+  the characteristic polynomial of each power of the companion matrix off
+  its traces by Newton's identities and takes no determinant.
+
+The three agree, and the test suite checks that they do.  Modulo p^K,
+cyclic_resultant_valuation takes Berkowitz determinants instead.
 
 Conventions: R(0, g) = 0 and R(c, g) = c^deg(g) for constants, so
 R(1, g) = 1.  Laurent inputs are normalized (min exponent 0, positive
@@ -19,7 +26,6 @@ leading coefficient) before any resultant is taken.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from .errors import ConvergenceError, DomainError
 from .ntheory import check_prime, vp_int
@@ -27,6 +33,7 @@ from .padics import _unit_root_factor
 from .polynomials import (
     LaurentPolynomial,
     _primitive,
+    _split_t_minus_one,
     all_ones_polynomial,
     normalize,
     power_minus_one,
@@ -202,26 +209,6 @@ def _integer_coefficients(f: LaurentPolynomial):
     return f.integer_coefficients_ascending()
 
 
-def _companion_setup(f: LaurentPolynomial, variant: str):
-    """(B, a, d, scale) for the normalization of a nonzero integral input:
-    B its scaled companion matrix (empty for a constant, d = 0) and scale
-    R(f, t - 1) = (-1)^d f(1) for variant "full", 1 for "ones"."""
-    if variant not in ("ones", "full"):
-        raise DomainError(f"unknown cyclic resultant variant {variant!r}")
-    coeffs = _integer_coefficients(f)
-    scale = (-1) ** (len(coeffs) - 1) * sum(coeffs) if variant == "full" else 1
-    return (*_scaled_companion(coeffs), scale)
-
-
-def _cyclic_from_powers(H, a, n, d):
-    """R(f, nu_n) = det(H_n) / a^((n-1)(d-1)); the division is exact."""
-    det = bareiss_determinant(H)
-    denom = a ** ((n - 1) * (d - 1))
-    if det % denom:
-        raise ConvergenceError("companion scaling must divide exactly")
-    return det // denom
-
-
 def cyclic_resultant(f: LaurentPolynomial, n: int, variant: str = "ones") -> int:
     """Signed exact R(f, nu) with nu = 1 + t + ... + t^(n-1)
     (variant="ones") or R(f, t^n - 1) = R(f, t - 1) R(f, nu)
@@ -234,42 +221,79 @@ def cyclic_resultant(f: LaurentPolynomial, n: int, variant: str = "ones") -> int
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    B, a, d, scale = _companion_setup(f, variant)
+    if variant not in ("ones", "full"):
+        raise DomainError(f"unknown cyclic resultant variant {variant!r}")
+    coeffs = _integer_coefficients(f)
+    scale = (-1) ** (len(coeffs) - 1) * sum(coeffs) if variant == "full" else 1
+    B, a, d = _scaled_companion(coeffs)
     if d == 0:
         return scale * a ** (n - 1)
-    _, H = _power_and_ones_sum(B, a, n)
-    return scale * _cyclic_from_powers(H, a, n, d)
+    # R(f, nu_n) = det(H_n) / a^((n-1)(d-1)), H_n = sum_{i<n} a^(n-1-i) B^i
+    value, r = divmod(bareiss_determinant(_power_and_ones_sum(B, a, n)[1]),
+                      a ** ((n - 1) * (d - 1)))
+    if r:
+        raise ConvergenceError("companion scaling must divide exactly")
+    return scale * value
 
 
 def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     """Yield cyclic_resultant(f, n, variant) for each n of the strictly
-    increasing iterable ``ns`` of positive integers.
+    increasing iterable ``ns`` of positive integers, with no determinant.
 
-    One pass up B^(k+1) = B^k B and H_(k+1) = a H_k + B^k, H_1 = I, over the
-    scaled companion matrix B: a step costs O(d^2) because B is sparse, and
-    a determinant is taken only at the requested n.  This is the route for
-    dense runs of n; isolated n are cheaper by cyclic_resultant.
+    f = (t - 1)^m g with g(1) != 0 is split first.  Let e = deg g, a its
+    leading coefficient and B = a C its scaled companion matrix, whose
+    eigenvalues are the a alpha_i.  With chi the characteristic polynomial
+    of B^n, chi(a^n) = prod (a^n - (a alpha_i)^n), so
+
+        R(g, t^n - 1) = (-1)^e chi(a^n) / a^((e - 1) n),
+        R(f, t^n - 1) = 0 if m > 0, else R(g, t^n - 1),
+        R(f, nu_n) = n^m R(g, t^n - 1) / ((-1)^e g(1)).
+
+    chi comes from traces, as in Le Verrier's method: the power sums
+    P_k = tr(B^k) follow Newton's recurrence on the characteristic
+    polynomial x^e + sum_{i<e} g_i a^(e-1-i) x^i of B, one O(e) step per k
+    up to e * max(ns), and Newton's identities on P_n, P_2n, .., P_en give
+    the integer coefficients of chi in O(e^2) per requested n.  Every
+    division is checked exact.  This is the route for dense runs of n; it
+    keeps all e * max(ns) power sums, and one isolated large n is cheaper
+    by cyclic_resultant.
     """
-    B, a, d, scale = _companion_setup(f, variant)
-    if d:
-        column = [row[-1] for row in B]
-        P, H, k = B, _identity(d), 1     # B^k, H_k
+    if variant not in ("ones", "full"):
+        raise DomainError(f"unknown cyclic resultant variant {variant!r}")
+    m, g = _split_t_minus_one(_integer_coefficients(f))
+    e, a = len(g) - 1, g[-1]
+    # the coefficient of x^(e - j) in the characteristic polynomial of B
+    q = [g[e - j] * a ** (j - 1) for j in range(1, e + 1)]
+    P = [0]     # P[k] = tr(B^k), k >= 1; the 0 drops the j = k term below
     last = 0
     for n in ns:
         if n <= last:
             raise DomainError("sweep needs strictly increasing positive n")
         last = n
-        if d == 0:
-            yield scale * a ** (n - 1)
+        if m and variant == "full":
+            yield 0         # t = 1 is a root of both
             continue
-        while k < n:
-            H = [[a * h + x for h, x in zip(hrow, prow)]
-                 for hrow, prow in zip(H, P)]
-            # P B: B has a on its subdiagonal and ``column`` last
-            P = [[a * x for x in row[1:]] + [sum(map(mul, row, column))]
-                 for row in P]
-            k += 1
-        yield scale * _cyclic_from_powers(H, a, n, d)
+        while len(P) <= e * n:
+            k = len(P)
+            # Newton: P_k = -sum_{j <= min(k, e)} q_j P_(k-j) - [k <= e] k q_k
+            s = sum(x * y for x, y in zip(q, reversed(P[-e:])))
+            P.append(-s - k * q[k - 1] if k <= e else -s)
+        # chi(x) = sum_k c_k x^(e-k): k c_k = -sum_{j <= k} c_(k-j) P_(jn)
+        traces = P[n::n]
+        value, x = 1, a**n
+        chi = [1]
+        for k in range(1, e + 1):
+            c, r = divmod(-sum(y * z for y, z in zip(reversed(chi), traces)), k)
+            if r:
+                raise ConvergenceError("Newton's identities must divide exactly")
+            chi.append(c)
+            value = value * x + c
+        value, r = divmod((-1) ** e * value * x, x**e)
+        if not r and variant == "ones":
+            value, r = divmod(n**m * value, (-1) ** e * sum(g))
+        if r:
+            raise ConvergenceError("companion scaling must divide exactly")
+        yield value
 
 
 def cyclic_resultant_sylvester(f: LaurentPolynomial, n: int,

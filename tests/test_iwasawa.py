@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from padic_mahler import resultants
+from padic_mahler import iwasawa, resultants
 from padic_mahler.errors import DomainError
 from padic_mahler.iwasawa import (
     fit_invariants,
@@ -128,6 +128,19 @@ class TestConsistency:
     def test_multiple_root_at_one_rejected(self):
         with pytest.raises(DomainError):
             verify_consistency(P("4*t^2 - 8*t + 4"), 2)
+
+    def test_one_cyclotomic_fold_per_call(self, monkeypatch):
+        calls = []
+        fold = iwasawa._divisible_by_p_power_cyclotomic
+
+        def counted(*args):
+            calls.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(iwasawa, "_divisible_by_p_power_cyclotomic",
+                            counted)
+        rep = verify_consistency(P("2*t^2 - 3*t + 2"), 2, 6)
+        assert rep.consistent and len(calls) == 1
 
     def test_unit_multiplication_invariance(self):
         f = P("2*t^3 - 2*t^2")   # 2t^2 (t - 1)

@@ -10,6 +10,7 @@ from padic_mahler.parsing import _Parser, parse_laurent, parse_polynomial
 from padic_mahler.polynomials import (
     LaurentPolynomial,
     MultivariatePolynomial,
+    _split_t_minus_one,
     all_ones_polynomial,
     content_and_primitive,
     normalize,
@@ -188,6 +189,19 @@ class TestAllOnes:
         t = LaurentPolynomial({1: 1})
         for n in range(1, 9):
             assert all_ones_polynomial(n) * (t - 1) == t**n - 1
+
+
+@pytest.mark.parametrize("text, m, rest", [
+    ("t^2 - 3*t + 1", 0, "t^2 - 3*t + 1"),
+    ("(t-1)^3*(2*t+5)", 3, "2*t + 5"),
+    ("(t-1)^2*(t^2+t+1)", 2, "t^2 + t + 1"),
+    ("4*(t-1)^2", 2, "4"),
+    ("7", 0, "7"),
+])
+def test_split_t_minus_one(text, m, rest):
+    got_m, q = _split_t_minus_one(parse_laurent(text).coefficients_ascending())
+    assert (got_m, LaurentPolynomial(dict(enumerate(q)))) == \
+        (m, parse_laurent(rest))
 
 
 class TestGcd:

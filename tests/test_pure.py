@@ -1,6 +1,7 @@
 import pytest
 
-from padic_mahler.errors import DomainError, PrecisionError
+from padic_mahler import pure
+from padic_mahler.errors import ConvergenceError, DomainError, PrecisionError
 from padic_mahler.padics import padic_log_of_int
 from padic_mahler.parsing import parse_laurent
 from padic_mahler.pure import (
@@ -196,6 +197,15 @@ class TestLinkGrowth:
             pure_link_growth(P("(t-1)^2"), 2, 5)
         with pytest.raises(DomainError, match="exceeds d-1 = 2"):
             pure_link_growth(P("(t-1)^3*(2*t-3)"), 3, 5)
+
+    def test_identity_check_uses_its_own_route(self, monkeypatch):
+        # the check compares the sweep of H with A's own companion matrix,
+        # so a wrong R(A, nu_n) there is caught
+        monkeypatch.setattr(pure, "cyclic_resultant",
+                            lambda f, n, variant: 7)
+        with pytest.raises(ConvergenceError, match="identity failed"):
+            pure_link_growth(P("(t-1)*(2*t-3)"), 2, 3, n_budget=40,
+                             precision=8)
 
     def test_h_at_1_is_an_int(self):
         # H = (2t - 5)(5t - 1) after dividing (t-1)^2 out: H(1) = -12

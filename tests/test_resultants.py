@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from padic_mahler import resultants
 from padic_mahler.errors import DomainError, ZeroPolynomialError
 from padic_mahler.ntheory import vp_int
 from padic_mahler.parsing import parse_laurent
@@ -172,7 +174,8 @@ class TestSympyOracle:
         t_minus_1 = parse_laurent("t - 1")
         polys += [random_poly(rng, max_deg=4, height=9) * t_minus_1
                   for _ in range(3)]
-        polys += [parse_laurent(text) for text in ("7", "-3", "t - 1")]
+        polys += [parse_laurent(text) for text in (
+            "7", "-3", "t - 1", *SWEEP_TEXTS[4:])]
         moduli = {"full": lambda n: t**n - 1,
                   "ones": lambda n: sum(t**i for i in range(n))}
         for f in polys:
@@ -191,26 +194,72 @@ class TestSympyOracle:
             assert g(1) != 0 or cyclic_resultant(f, 5, "full") == 0
 
 
-class TestSweep:
-    NS = [1, 2, 3, 5, 8, 9, 13, 21, 22, 34]
+BIG = "31415926535897932384626433832795028841971693993751"   # 50 digits
+SWEEP_TEXTS = [
+    "7",                                # constant: a^n resp. a^(n-1)
+    "2*t - 2",                          # p | lead
+    "t^2 + 1",                          # root of unity: R = 0 at n = 8
+    "3*t^5 - 2*t^4 + 7*t^2 - t + 6",    # non-monic, d >= 4
+    "(t-1)^2*(t^2+t+1)",                # t = 1 twice, cube roots of unity
+    "(t-1)^3*(2*t^2-3*t+5)",
+    f"{BIG}*t^3 - 2*t^2 + {BIG}7*t - 3",
+    "-3*t^4 + 2*t - 5",                 # negative leading coefficient
+    "t^-2*(2*t^3 - t + 4)",             # Laurent shift
+]
 
-    @pytest.mark.parametrize("text", [
-        "7",                                # constant: a^n resp. a^(n-1)
-        "2*t - 2",                          # p | lead
-        "t^2 + 1",                          # root of unity: R = 0 at n = 8
-        "3*t^5 - 2*t^4 + 7*t^2 - t + 6",    # non-monic, d >= 4
-    ])
+
+class TestSweep:
+    NS = [1, 2, 3, 5, 8, 9, 13, 21, 22, 34, 55, 89, 120]
+
+    @pytest.mark.parametrize("text", SWEEP_TEXTS)
     def test_matches_binary_powering(self, text):
         f = parse_laurent(text)
         for variant in ("ones", "full"):
             assert list(cyclic_resultant_sweep(f, self.NS, variant)) == \
                 [cyclic_resultant(f, n, variant) for n in self.NS]
 
+    def test_high_degree(self):
+        rng = random.Random(41)
+        for d in (8, 13, 20):
+            f = LaurentPolynomial({e: rng.randint(-9, 9) for e in range(d)})
+            f = f + LaurentPolynomial({d: rng.randint(1, 9)})
+            ns = [1, 2, 7, 30, 64, 120]
+            for variant in ("ones", "full"):
+                assert list(cyclic_resultant_sweep(f, ns, variant)) == \
+                    [cyclic_resultant(f, n, variant) for n in ns]
+
+    def test_takes_no_determinant(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("the sweep took a determinant")
+
+        monkeypatch.setattr(resultants, "bareiss_determinant", refuse)
+        f = parse_laurent("(t-1)*(3*t^4 - 2*t + 5)")
+        for variant in ("ones", "full"):
+            assert len(list(cyclic_resultant_sweep(f, range(1, 50), variant))) == 49
+
+    def test_dense_degree_40_within_budget(self):
+        # n = 1..120 at degree 40, both variants: about 1 s by the traces,
+        # against about a minute with a Bareiss determinant per n
+        rng = random.Random(40)
+        f = LaurentPolynomial({e: rng.randint(-9, 9) for e in range(40)})
+        f = f + LaurentPolynomial({40: 3})
+        ns = range(1, 121)
+        start = time.perf_counter()
+        sweeps = {variant: list(cyclic_resultant_sweep(f, ns, variant))
+                  for variant in ("ones", "full")}
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"degree-40 sweep took {elapsed:.1f} s"
+        for n in (1, 2, 3, 11):
+            for variant, values in sweeps.items():
+                assert values[n - 1] == cyclic_resultant(f, n, variant)
+
     @pytest.mark.parametrize("ns", [[0, 1], [-2], [3, 3], [2, 5, 4]])
     def test_rejects_bad_n_sequence(self, ns):
-        for text in ("t^2 - 3*t + 1", "5"):
-            with pytest.raises(DomainError):
-                list(cyclic_resultant_sweep(parse_laurent(text), ns))
+        for text in ("t^2 - 3*t + 1", "5", "(t-1)^2*(t+3)"):
+            for variant in ("ones", "full"):
+                with pytest.raises(DomainError):
+                    list(cyclic_resultant_sweep(parse_laurent(text), ns,
+                                                variant))
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(DomainError):
