@@ -283,9 +283,10 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
         value, x = 1, a**n
         chi = [1]
         for k in range(1, e + 1):
-            c, r = divmod(-sum(y * z for y, z in zip(reversed(chi), traces)), k)
+            s = sum(y * z for y, z in zip(reversed(chi), traces))
+            c, r = divmod(-s, k)
             if r:
-                raise ConvergenceError("Newton's identities must divide exactly")
+                raise ConvergenceError("Newton's identity left a remainder")
             chi.append(c)
             value = value * x + c
         value, r = divmod((-1) ** e * value * x, x**e)

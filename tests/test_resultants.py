@@ -153,6 +153,20 @@ class TestCyclicResultant:
             cyclic_resultant(parse_laurent("t - 2"), 3, "nu_variant")
 
 
+BIG = "31415926535897932384626433832795028841971693993751"   # 50 digits
+SWEEP_TEXTS = [
+    "7",                                # constant: a^n resp. a^(n-1)
+    "2*t - 2",                          # p | lead
+    "t^2 + 1",                          # root of unity: R = 0 at n = 8
+    "3*t^5 - 2*t^4 + 7*t^2 - t + 6",    # non-monic, d >= 4
+    "(t-1)^2*(t^2+t+1)",                # t = 1 twice, cube roots of unity
+    "(t-1)^3*(2*t^2-3*t+5)",
+    f"{BIG}*t^3 - 2*t^2 + {BIG}7*t - 3",
+    "-3*t^4 + 2*t - 5",                 # negative leading coefficient
+    "t^-2*(2*t^3 - t + 4)",             # Laurent shift
+]
+
+
 class TestSympyOracle:
     """sympy against t^n - 1 and nu_n: a third route, independent of the
     companion matrix and of the Sylvester/Bareiss oracle.  sympy 1.14's
@@ -194,20 +208,6 @@ class TestSympyOracle:
             assert g(1) != 0 or cyclic_resultant(f, 5, "full") == 0
 
 
-BIG = "31415926535897932384626433832795028841971693993751"   # 50 digits
-SWEEP_TEXTS = [
-    "7",                                # constant: a^n resp. a^(n-1)
-    "2*t - 2",                          # p | lead
-    "t^2 + 1",                          # root of unity: R = 0 at n = 8
-    "3*t^5 - 2*t^4 + 7*t^2 - t + 6",    # non-monic, d >= 4
-    "(t-1)^2*(t^2+t+1)",                # t = 1 twice, cube roots of unity
-    "(t-1)^3*(2*t^2-3*t+5)",
-    f"{BIG}*t^3 - 2*t^2 + {BIG}7*t - 3",
-    "-3*t^4 + 2*t - 5",                 # negative leading coefficient
-    "t^-2*(2*t^3 - t + 4)",             # Laurent shift
-]
-
-
 class TestSweep:
     NS = [1, 2, 3, 5, 8, 9, 13, 21, 22, 34, 55, 89, 120]
 
@@ -235,7 +235,8 @@ class TestSweep:
         monkeypatch.setattr(resultants, "bareiss_determinant", refuse)
         f = parse_laurent("(t-1)*(3*t^4 - 2*t + 5)")
         for variant in ("ones", "full"):
-            assert len(list(cyclic_resultant_sweep(f, range(1, 50), variant))) == 49
+            values = list(cyclic_resultant_sweep(f, range(1, 50), variant))
+            assert len(values) == 49
 
     def test_dense_degree_40_within_budget(self):
         # n = 1..120 at degree 40, both variants: about 1 s by the traces,
