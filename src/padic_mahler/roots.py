@@ -1,7 +1,9 @@
 """Simultaneous complex root finding (Aberth-Ehrlich) with residual bounds.
 
-Initial guesses are placed deterministically on a circle of radius
-sqrt(Cauchy bound) with golden-angle spacing, so runs are reproducible.
+Initial guesses are placed deterministically on the circles of the Newton
+polygon of the coefficient moduli (Bini's start), with golden-angle
+spacing, so runs are reproducible and start near the roots' moduli.  A
+guess whose residual reaches the float noise floor is frozen.
 Each returned root carries the classical residual radius
 n * |f(z)| / |f'(z)|: a disk of that radius around z contains a root of f.
 In float64 the radius is an a-priori bound that absorbs the rounding of
@@ -26,32 +28,33 @@ ITERATION_CAP = 200
 POLISH_STEPS = 100
 
 
-def aberth_roots(monic):
-    """All complex roots of the monic sum monic[i] * t^i (float64
-    coefficients, len >= 2, nonzero constant term).  Returns (roots,
-    radii).  The iteration stops once every step is tiny or every residual
-    |f(z_i)| lies within the float error bound of its evaluation, the
-    noise floor below which steps only jitter."""
-    n = len(monic) - 1
-    deriv = _derivative(monic)
-    sizes = [abs(c) for c in monic]
-    cauchy = 1.0 + max(sizes[:-1])
-    radius = math.sqrt(cauchy)
-    z = [radius * cmath.exp(1j * (PHASE_OFFSET + GOLDEN_ANGLE * k))
-         for k in range(n)]
+def aberth_roots(coeffs):
+    """All complex roots of the sum coeffs[i] * t^i (float64 coefficients,
+    len >= 2, nonzero leading and constant terms).  Returns (roots,
+    radii).  The guesses start on the Newton-polygon circles
+    (_start_moduli).  A guess whose residual |f(z_i)| lies within the
+    float error bound of its evaluation, the noise floor below which steps
+    only jitter, is frozen there; it still repels the others.  The
+    iteration stops once no guess is active or every step is tiny."""
+    n = len(coeffs) - 1
+    deriv = _derivative(coeffs)
+    sizes = [abs(c) for c in coeffs]
+    scale = max(1.0, math.sqrt(1.0 + max(sizes[:-1])))
+    z = [r * cmath.exp(1j * (PHASE_OFFSET + GOLDEN_ANGLE * k))
+         for k, r in enumerate(_start_moduli(sizes))]
 
     def slack(zi):
         # bounds the rounding of the coefficients and of Horner's rule
         return 8.0 * n * 2.2e-16 * _horner(sizes, max(1.0, abs(zi)))
 
+    active = list(range(n))
     for _ in range(ITERATION_CAP):
         moved = 0.0
-        noisy = True
-        for i in range(n):
+        for i in list(active):
             zi = z[i]
-            fv = _horner(monic, zi)
-            noisy = noisy and abs(fv) <= slack(zi)
-            if fv == 0:
+            fv = _horner(coeffs, zi)
+            if abs(fv) <= slack(zi):
+                active.remove(i)
                 continue
             dv = _horner(deriv, zi)
             repel = sum(1.0 / (zi - z[j]) for j in range(n) if j != i)
@@ -61,7 +64,7 @@ def aberth_roots(monic):
             step = fv / denom
             z[i] = zi - step
             moved = max(moved, abs(step))
-        if noisy or moved < 1e-14 * max(1.0, radius):
+        if not active or moved < 1e-14 * scale:
             break
     else:
         raise ConvergenceError(
@@ -70,11 +73,30 @@ def aberth_roots(monic):
         raise ConvergenceError("Aberth iteration left the float64 range")
     radii = []
     for zi in z:
-        fv = abs(_horner(monic, zi))
+        fv = abs(_horner(coeffs, zi))
         dv = abs(_horner(deriv, zi))
         s = slack(zi)
         radii.append(math.inf if dv <= s else n * (fv + s) / (dv - s))
     return z, radii
+
+
+def _start_moduli(sizes):
+    """One start modulus per root of sum sizes[i] * t^i (absolute values,
+    nonzero at both ends): the radii of the upper convex hull of the
+    points (i, log sizes[i]).  An edge from i to j puts j - i guesses on
+    the circle of radius (sizes[i] / sizes[j])^(1 / (j - i)), near which
+    that many roots lie (Bini 1996)."""
+    pts = [(i, math.log(s)) for i, s in enumerate(sizes) if s]
+    hull = []
+    for q in pts:
+        # drop the last vertex while it lies on or below the chord to q
+        while len(hull) >= 2 and \
+                (hull[-1][0] - hull[-2][0]) * (q[1] - hull[-2][1]) >= \
+                (hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0]):
+            hull.pop()
+        hull.append(q)
+    return [math.exp((li - lj) / (j - i))
+            for (i, li), (j, lj) in zip(hull, hull[1:]) for _ in range(i, j)]
 
 
 def dyadic(roots):
@@ -112,9 +134,13 @@ def polish_roots(q, centres, bits):
                 fr, fi = (((fr * x - fi * y) >> bits) + c,
                           (fr * y + fi * x) >> bits)
             # settled once the residual is within what a move of one grid
-            # unit or the truncations (< 2d max(1, |z|)^(d-1) units) explain
-            size = max(0, max(abs(x), abs(y)).bit_length() + 1 - bits)
-            noise = 1 << (d - 1) * size + (2 * d).bit_length()
+            # unit or the truncations (< 2d max(1, |z|)^(d-1) units) explain;
+            # |z| from x and y cut to ~60 bits, so no size overflows a float
+            shift = max(0, max(abs(x), abs(y)).bit_length() - 60)
+            log_z = math.log2(math.hypot((abs(x) >> shift) + 1,
+                                         (abs(y) >> shift) + 1)) + shift - bits
+            noise = 1 << math.ceil((d - 1) * max(0.0, log_z)) + 1 + \
+                (2 * d).bit_length()
             den = dr * dr + di * di
             if not den or max(abs(fr), abs(fi)) <= \
                     4 * ((max(abs(dr), abs(di)) >> bits) + noise):

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_mahler import mahler
+from padic_mahler import mahler, roots
 from padic_mahler.cli import main
 from padic_mahler.errors import (
     ConvergenceError,
@@ -252,6 +252,15 @@ class TestEuclidean:
             truth = mpmath.log(mpmath.factorial(m))
         assert honest(d["log_value"], d["abs_error"], truth)
 
+    @pytest.mark.parametrize("text", [
+        "t^3-10^40*t^2+1", "t^4+10^60*t^2+1", "t^5-10^100*t^3+1"])
+    def test_roots_below_the_polish_grid(self, text):
+        # roots near 10^-20 and below: a polish grid at the share of tol
+        # alone would round two of them onto one point and never part them
+        f = P(text)
+        m = mahler_euclidean(f, 1e-9)
+        assert honest(m.value, m.error, mpmath_log_mahler(f))
+
     def test_overlapping_disks_certify_nothing(self):
         # two disks that meet may share one root and miss another
         centres, bits = dyadic([1.5, 1.5 + 1e-9])
@@ -272,6 +281,84 @@ class TestEuclidean:
     def test_nonpositive_tolerance_rejected(self, tol):
         with pytest.raises(DomainError):
             mahler_euclidean(P("t^2 - 3*t + 1"), tol)
+
+
+def degree_200_pin():
+    """Coefficients of the TestCli::test_random_degree_200 text."""
+    rng = random.Random(200)
+    return [float(rng.randint(-9, 9)) for _ in range(200)] + [1.0]
+
+
+def random_measure(seed, d):
+    """A random degree-d integer polynomial shaped like the measures
+    workload's: coefficients in [-20, 20], nonzero at both ends."""
+    rng = random.Random(seed)
+    c = [rng.randint(-20, 20) for _ in range(d + 1)]
+    c[0] = rng.choice([x for x in range(-20, 21) if x])
+    c[d] = rng.randint(1, 20)
+    return c
+
+
+class TestAberth:
+    def test_start_circles_follow_the_newton_polygon(self):
+        # prod_{k=-3..3} (t - 10^k) over Z: the edge from i to i + 1 has
+        # radius |a_i / a_(i+1)|, within 12 % of the root 10^(i-3)
+        f = P("*".join(f"(t-10^{k})" for k in range(4)) + "*"
+              + "*".join(f"(10^{k}*t-1)" for k in range(1, 4)))
+        a = f.coefficients_ascending()
+        moduli = roots._start_moduli([abs(float(c)) for c in a])
+        assert len(moduli) == 7
+        for i, r in enumerate(moduli):
+            assert r == pytest.approx(float(abs(a[i] / a[i + 1])), rel=1e-12)
+            assert 0.88 < r / 10.0 ** (i - 3) < 1.12
+
+    def test_start_circles_skip_points_under_the_hull(self):
+        # zero and small middle coefficients lie below the hull's chord
+        assert roots._start_moduli([8.0, 0.0, 0.0, 1.0]) == \
+            pytest.approx([2.0] * 3)
+        assert roots._start_moduli([4.0, 1e-3, 1.0]) == pytest.approx([2.0] * 2)
+
+    @pytest.mark.parametrize("coeffs, parent", [
+        (degree_200_pin(), 40981),
+        ([float(c) for c in random_measure(50, 50)], 4047)])
+    def test_work_is_at_most_half_of_one_start_circle(
+            self, coeffs, parent, monkeypatch):
+        # `parent` counts the Horner calls when every guess started on one
+        # circle of radius sqrt(Cauchy bound) and no root was frozen
+        calls = []
+        horner = roots._horner
+        monkeypatch.setattr(roots, "_horner",
+                            lambda c, z: calls.append(1) or horner(c, z))
+        z, radii = aberth_roots(coeffs)
+        assert len(z) == len(coeffs) - 1 and all(map(math.isfinite, radii))
+        assert len(calls) <= parent // 2
+
+    def test_one_polish_round_at_degree_42(self, monkeypatch):
+        # frozen float roots certify at 72 bits only if the polish runs
+        # down to its noise floor; a floor of 2^(d-1) units for |z| < 2
+        # stopped it at once, and a second round at 144 bits followed
+        rounds = []
+        polish = mahler.polish_roots
+        monkeypatch.setattr(
+            mahler, "polish_roots",
+            lambda q, c, bits: rounds.append(bits) or polish(q, c, bits))
+        f = LaurentPolynomial(dict(enumerate(random_measure(42, 42))))
+        m = mahler_euclidean(f, 1e-12)
+        assert rounds == [72]
+        assert abs(m.value - numpy_log_mahler(f)) <= 1e-7
+
+    def test_polish_of_a_far_root_does_not_overflow(self):
+        # roots 2^400 + 1/3 and 1 at 700 bits: the centre's x has ~1100
+        # bits, beyond float64, so |z| must not be taken by float(x)
+        big = 3 * 2 ** 400 + 1
+        q = [big, -big - 3, 3]
+        bits = 700
+        centres = [(2 ** 400 << bits, 0), ((1 << bits) + (1 << bits - 20), 0)]
+        out, radii = roots.polish_roots(q, centres, bits)
+        for (x, y), r, root in zip(out, radii, (Fraction(big, 3), 1)):
+            assert r < 1e-100
+            assert (Fraction(x, 2 ** bits) - root) ** 2 + \
+                Fraction(y, 2 ** bits) ** 2 <= Fraction(r) ** 2
 
 
 @st.composite
