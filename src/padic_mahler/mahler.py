@@ -120,9 +120,9 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     centres, when their a-priori radii certify its share of tol.  Else the
     roots are polished (Newton with Aberth's repulsion) on the primitive
     integer coefficients of a_i in fixed point, at POLISH_BITS bits more
-    than the share or the smallest float root asks for, the bits doubling
-    while the disks overlap or miss the share, up to POLISH_BITS_CAP; their
-    radii are exact residual bounds.  The error
+    than the share asks for, the bits doubling while the disks overlap or
+    miss the share, up to POLISH_BITS_CAP; their radii are exact residual
+    bounds.  The error
     bound covers the root enclosures and, as a rounding allowance,
     (k + 1) ulp(M) for the k float roundings (each root log of a_i counted
     i times), M the largest magnitude among the logs and the partial sums;
@@ -156,11 +156,7 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
                 "a squarefree factor has coefficients beyond float64") from None
         centres, bits = dyadic(roots)
         contrib, err, count = _root_contributions(centres, radii, bits)
-        # a grid coarser than the smallest float root could round it onto 0
-        # or onto another root, and polishing would not part them
-        smallest = min(abs(z) for z in roots)
-        target = POLISH_BITS + max(0, -math.frexp(budget)[1],
-                                   -math.frexp(smallest)[1])
+        target = POLISH_BITS + max(0, -math.frexp(budget)[1])
         while err > budget:
             if target > POLISH_BITS_CAP:
                 raise ConvergenceError(

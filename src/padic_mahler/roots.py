@@ -30,30 +30,41 @@ POLISH_STEPS = 100
 
 def aberth_roots(coeffs):
     """All complex roots of the sum coeffs[i] * t^i (float64 coefficients,
-    len >= 2, nonzero leading and constant terms).  Returns (roots,
-    radii).  The guesses start on the Newton-polygon circles
-    (_start_moduli).  A guess whose residual |f(z_i)| lies within the
-    float error bound of its evaluation, the noise floor below which steps
-    only jitter, is frozen there; it still repels the others.  The
-    iteration stops once no guess is active or every step is tiny."""
+    len >= 2, nonzero leading term).  Returns (roots, radii).  The
+    guesses start on the Newton-polygon circles (_start_moduli).  A guess
+    whose residual |f(z_i)| lies within the float error bound of its
+    evaluation, the noise floor below which steps only jitter, is frozen
+    there; it still repels the others.  The iteration stops once no guess
+    moves by more than 1e-14 of its modulus."""
     n = len(coeffs) - 1
     deriv = _derivative(coeffs)
     sizes = [abs(c) for c in coeffs]
-    scale = max(1.0, math.sqrt(1.0 + max(sizes[:-1])))
     z = [r * cmath.exp(1j * (PHASE_OFFSET + GOLDEN_ANGLE * k))
          for k, r in enumerate(_start_moduli(sizes))]
+    # the coefficients and Horner's rule round f(z) by at most
+    # unit * sum |a_i| |z|^i, the noise floor; `inside` bounds it on |z| <= 1
+    unit = 8.0 * n * 2.2e-16
+    inside = unit * sum(sizes)
+
+    def noise(zi):
+        return unit * _horner(sizes, abs(zi))
 
     def slack(zi):
-        # bounds the rounding of the coefficients and of Horner's rule
-        return 8.0 * n * 2.2e-16 * _horner(sizes, max(1.0, abs(zi)))
+        # the bound the radii absorb, as coarse as `inside` on |z| <= 1
+        return inside if abs(zi) <= 1.0 else noise(zi)
 
     active = list(range(n))
     for _ in range(ITERATION_CAP):
-        moved = 0.0
+        moving = False
         for i in list(active):
             zi = z[i]
             fv = _horner(coeffs, zi)
-            if abs(fv) <= slack(zi):
+            # the floor at |z| itself is tight near 0, so a guess on a small
+            # circle is frozen only once it has reached a root; `inside`
+            # spares its Horner pass while the residual is large
+            residual = abs(fv)
+            if (residual <= inside or abs(zi) > 1.0) and \
+                    residual <= noise(zi):
                 active.remove(i)
                 continue
             dv = _horner(deriv, zi)
@@ -63,8 +74,10 @@ def aberth_roots(coeffs):
                 denom = 1e-300
             step = fv / denom
             z[i] = zi - step
-            moved = max(moved, abs(step))
-        if not active or moved < 1e-14 * scale:
+            # tiny against |z|, not against one scale: the start circles
+            # may lie many orders of magnitude apart
+            moving = moving or abs(step) > 1e-14 * abs(zi)
+        if not moving:
             break
     else:
         raise ConvergenceError(
@@ -82,11 +95,13 @@ def aberth_roots(coeffs):
 
 def _start_moduli(sizes):
     """One start modulus per root of sum sizes[i] * t^i (absolute values,
-    nonzero at both ends): the radii of the upper convex hull of the
+    nonzero at the top end): the radii of the upper convex hull of the
     points (i, log sizes[i]).  An edge from i to j puts j - i guesses on
     the circle of radius (sizes[i] / sizes[j])^(1 / (j - i)), near which
     that many roots lie (Bini 1996)."""
-    pts = [(i, math.log(s)) for i, s in enumerate(sizes) if s]
+    # a size that rounded to 0 stays a point, at the least positive float,
+    # so the hull spans 0..n; inside it lies below the chord and drops out
+    pts = [(i, math.log(max(s, 5e-324))) for i, s in enumerate(sizes)]
     hull = []
     for q in pts:
         # drop the last vertex while it lies on or below the chord to q
@@ -141,10 +156,15 @@ def polish_roots(q, centres, bits):
                                          (abs(y) >> shift) + 1)) + shift - bits
             noise = 1 << math.ceil((d - 1) * max(0.0, log_z)) + 1 + \
                 (2 * d).bit_length()
-            den = dr * dr + di * di
-            if not den or max(abs(fr), abs(fi)) <= \
+            if max(abs(fr), abs(fi)) <= \
                     4 * ((max(abs(dr), abs(di)) >> bits) + noise):
                 settled[i] = True
+                continue
+            den = dr * dr + di * di
+            if not den:
+                # f'(z) = 0 at no root of the squarefree f: a centre rounded
+                # onto a critical point steps one grid unit off it
+                zs[i] = (x + 1, y + 1)
                 continue
             sr = ((fr * dr + fi * di) << bits) // den
             si = ((fi * dr - fr * di) << bits) // den

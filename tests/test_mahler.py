@@ -253,10 +253,13 @@ class TestEuclidean:
         assert honest(d["log_value"], d["abs_error"], truth)
 
     @pytest.mark.parametrize("text", [
-        "t^3-10^40*t^2+1", "t^4+10^60*t^2+1", "t^5-10^100*t^3+1"])
+        "t^3-10^40*t^2+1", "t^4+10^60*t^2+1", "t^5-10^100*t^3+1",
+        "t^5+10^100*t^2+1", "10^400*t^2-2*10^400*t+1",
+        "(t-2)*(t-2-1/10^12)*(10^300*t-1)"])
     def test_roots_below_the_polish_grid(self, text):
-        # roots near 10^-20 and below: a polish grid at the share of tol
-        # alone would round two of them onto one point and never part them
+        # roots near 10^-20 and below round onto the first polish grid, at
+        # or beside 0, a critical point of f, and must be stepped off it;
+        # 10^-400 underflows to a constant term of 0.0 in float64
         f = P(text)
         m = mahler_euclidean(f, 1e-9)
         assert honest(m.value, m.error, mpmath_log_mahler(f))
@@ -317,6 +320,31 @@ class TestAberth:
         assert roots._start_moduli([8.0, 0.0, 0.0, 1.0]) == \
             pytest.approx([2.0] * 3)
         assert roots._start_moduli([4.0, 1e-3, 1.0]) == pytest.approx([2.0] * 2)
+
+    def test_a_zero_end_still_gets_its_guesses(self):
+        # a constant term that underflowed to 0.0 keeps its hull point
+        assert len(roots._start_moduli([0.0, 2.0, 1.0])) == 2
+        assert len(roots._start_moduli([0.0, 0.0, 2.0, 1.0])) == 3
+        z, radii = aberth_roots([0.0, -2.0, 1.0])
+        assert len(z) == 2 and max(radii) < 1e-12
+        assert sorted(abs(zi) for zi in z) == pytest.approx([0.0, 2.0])
+
+    def test_small_circles_converge_to_their_roots(self):
+        # t^5 + 10^100 t^2 + 1: roots near +-10^-50 i and three near 10^33.3;
+        # steps of 10^-51 are tiny against 10^33 but not against 10^-50
+        z, _ = aberth_roots([1.0, 0.0, 1e100, 0.0, 0.0, 1.0])
+        small = sorted((zi for zi in z if abs(zi) < 1.0), key=lambda w: w.imag)
+        assert small == [pytest.approx(-1e-50j, abs=1e-62),
+                         pytest.approx(1e-50j, abs=1e-62)]
+
+    def test_polish_steps_off_a_critical_point(self):
+        # 4t^2 - 1 has f'(0) = 0; both centres start there, and must part
+        # onto the roots +-1/2 rather than settle with infinite radii
+        bits = 40
+        out, radii = roots.polish_roots([-1, 0, 4], [(0, 0), (0, 0)], bits)
+        assert max(radii) < 1e-9
+        assert sorted(Fraction(x, 2 ** bits) for x, _ in out) == \
+            [pytest.approx(-0.5, abs=1e-9), pytest.approx(0.5, abs=1e-9)]
 
     @pytest.mark.parametrize("coeffs, parent", [
         (degree_200_pin(), 40981),
