@@ -10,7 +10,9 @@ Two routes are implemented and cross-checked:
 
 * the estimator: exact cyclic resultants, a p-adic stabilization window
   (heuristic certificate: convergence is a theorem but comes with no
-  effective modulus, so the certified digit count is a labeled heuristic);
+  effective modulus, so the certified digit count is a labeled heuristic).
+  The certificate reads only the trailing STABILIZATION_WINDOW n coprime
+  to p within the budget, so only those n are swept and logged;
 * the closed form: for each positive integer polygon slope m, rescale
   t = s/p^m, Hensel-lift the simple unit roots of the rescaled polynomial
   in Q_p and sum their logarithms; or, when every root lies outside the
@@ -103,38 +105,43 @@ def _log_over_n(r: int, n: int, p: int, precision: int) -> PadicNumber:
     return padic_log_of_int(r, p, precision) * inv_n
 
 
-def _stabilized_window(estimates, used, precision):
-    """(value, certified digits, window n) read off the trailing
-    STABILIZATION_WINDOW estimates: the last estimate, truncated to the
-    digits on which the whole window agrees."""
-    if len(estimates) < STABILIZATION_WINDOW:
+def _stabilized_window(f, p, n_budget, precision):
+    """(value, certified digits, window n, R(f, t^n - 1) at its last n):
+    the last estimate over the trailing STABILIZATION_WINDOW n <= n_budget
+    coprime to p, truncated to the digits on which they all agree.  Only
+    the window is swept, and R = 0 is refused there; other n need no such
+    guard, since a root of unity lies on |z|_p = 1, where _defined_integral
+    has already refused f."""
+    used = [n for n in range(1, n_budget + 1) if math.gcd(n, p) == 1]
+    if len(used) < STABILIZATION_WINDOW:
         raise DomainError("n_budget too small for the stabilization window")
-    window = estimates[-STABILIZATION_WINDOW:]
-    last = window[-1]
-    agree = min(last.agreement_valuation(w) for w in window[:-1])
-    agree = min(agree, min(w.abs_precision for w in window))
+    window = used[-STABILIZATION_WINDOW:]
+    estimates = []
+    for n, r in zip(window, cyclic_resultant_sweep(f, window, "full")):
+        if r == 0:
+            raise DomainError(
+                f"R(f, t^{n} - 1) = 0: f vanishes at an {n}-th root of unity")
+        estimates.append(_log_over_n(r, n, p, precision))
+    last = estimates[-1]
+    agree = min(last.agreement_valuation(w) for w in estimates[:-1])
+    agree = min(agree, min(w.abs_precision for w in estimates))
     if agree < 1:
         raise ConvergenceError(
             "estimates did not stabilize to a single p-adic digit "
             "within the budget")
     certified = min(agree, precision - 1)
-    return last.truncate(certified), certified, used[-STABILIZATION_WINDOW:]
+    return last.truncate(certified), certified, window, r
 
 
 def pure_log_mahler_estimate(f: LaurentPolynomial, p: int,
                              n_budget: int = 120,
                              precision: int = 40) -> PurePadicResult:
-    """(1/n) log_p R(f, t^n - 1) over n coprime to p, with p-adic
-    stabilization over the trailing window declaring the certified digits."""
+    """(1/n) log_p R(f, t^n - 1) over the trailing STABILIZATION_WINDOW
+    n <= n_budget coprime to p, with p-adic stabilization over that window
+    declaring the certified digits; no other n is evaluated."""
     f = _defined_integral(f, p, "estimator")
-    used = [n for n in range(1, n_budget + 1) if math.gcd(n, p) == 1]
-    estimates = []
-    for n, r in zip(used, cyclic_resultant_sweep(f, used, "full")):
-        if r == 0:
-            raise DomainError(
-                f"R(f, t^{n} - 1) = 0: f vanishes at an {n}-th root of unity")
-        estimates.append(_log_over_n(r, n, p, precision))
-    value, certified, window_n = _stabilized_window(estimates, used, precision)
+    value, certified, window_n, _ = _stabilized_window(f, p, n_budget,
+                                                       precision)
     return PurePadicResult(
         p, value, "estimator",
         {"n_budget": n_budget, "window_n": window_n,
@@ -234,7 +241,8 @@ def pure_entropy(f: LaurentPolynomial, p: int, n_budget: int = 120,
                  precision: int = 40,
                  solenoid_convention: bool = False) -> PurePadicResult:
     """Purely p-adic entropy of the companion action: the p-adic limit of
-    (1/n) log_p |Fix| with |Fix| = |R(f, t^n - 1)|.
+    (1/n) log_p |Fix| with |Fix| = |R(f, t^n - 1)|, read off the same
+    stabilization window as pure_log_mahler_estimate.
 
     For non-monic f the fixed-point counts are those of the cyclic-module
     (solenoid) action; pass solenoid_convention=True to accept that
@@ -263,9 +271,9 @@ def pure_link_growth(A: LaurentPolynomial, d: int, p: int,
                      n_budget: int = 120, precision: int = 40) -> PurePadicResult:
     """p-adic limit of (1/n) log_p (|R(A, nu_n)| |H(1)| / n^(d-1)) for
     A = (t-1)^(d-1) H with H(1) != 0: equals the purely p-adic measure of
-    H.  The growth numbers are read off one sweep of R(H, t^n - 1) through
-    the identity |R(A, nu_n)| |H(1)| = |R(H, t^n - 1)| n^(d-1), which is
-    checked at the largest n against A's own companion matrix."""
+    H.  The growth numbers are read off one window sweep of R(H, t^n - 1)
+    through the identity |R(A, nu_n)| |H(1)| = |R(H, t^n - 1)| n^(d-1),
+    which is checked at the largest n against A's own companion matrix."""
     check_prime(p)
     if d < 1:
         raise DomainError("component count d must be >= 1")
@@ -280,15 +288,12 @@ def pure_link_growth(A: LaurentPolynomial, d: int, p: int,
     H = _defined_integral(LaurentPolynomial(dict(enumerate(c)), A.variable),
                           p, "growth")
     h1 = abs(int(H(1)))
-    used = [n for n in range(1, n_budget + 1) if math.gcd(n, p) == 1]
-    estimates = []
-    for n, full in zip(used, cyclic_resultant_sweep(H, used, "full")):
-        # the growth number |R(A, nu_n)| |H(1)| / n^(d-1) is |R(H, t^n - 1)|,
-        # so one sequence serves the growth limit and the measure of H, and
-        # the two agree to every certified digit
-        estimates.append(_log_over_n(full, n, p, precision))
-    value, certified, window_n = _stabilized_window(estimates, used, precision)
-    # the window is not empty, so n and full hold the largest n and its value
+    # the growth number |R(A, nu_n)| |H(1)| / n^(d-1) is |R(H, t^n - 1)|,
+    # so one sequence serves the growth limit and the measure of H, and
+    # the two agree to every certified digit
+    value, certified, window_n, full = _stabilized_window(H, p, n_budget,
+                                                          precision)
+    n = window_n[-1]
     if abs(cyclic_resultant(A, n, "ones")) * h1 != abs(full) * n ** (d - 1):
         raise ConvergenceError("resultant factorization identity failed")
     return PurePadicResult(

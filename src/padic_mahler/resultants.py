@@ -11,9 +11,9 @@ the determinant of the Sylvester matrix.  Three routes are kept:
   as one Bareiss determinant of nu_n over the scaled companion matrix,
   built by binary powering (cyclic_resultant), which also gives
   R(f, t^n - 1) = R(f, t - 1) R(f, nu_n) with R(f, t - 1) = (-1)^deg(f) f(1);
-* dense runs of n: the trace sweep (cyclic_resultant_sweep), which reads
-  the characteristic polynomial of each power of the companion matrix off
-  its traces by Newton's identities and takes no determinant.
+* runs of n, dense or sparse: the trace sweep (cyclic_resultant_sweep),
+  which reads the characteristic polynomial of each power of the companion
+  matrix off its traces by Newton's identities and takes no determinant.
 
 The three agree, and the test suite checks that they do.  Modulo p^K,
 cyclic_resultant_valuation takes Berkowitz determinants instead.
@@ -25,6 +25,7 @@ leading coefficient) before any resultant is taken.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
@@ -254,32 +255,35 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     polynomial x^e + sum_{i<e} g_i a^(e-1-i) x^i of B, one O(e) step per k
     up to e * max(ns), and Newton's identities on P_n, P_2n, .., P_en give
     the integer coefficients of chi in O(e^2) per requested n.  Every
-    division is checked exact.  This is the route for dense runs of n; it
-    keeps all e * max(ns) power sums, and one isolated large n is cheaper
-    by cyclic_resultant.
+    division is checked exact.  Only the P_(jn), j <= e and n in ns, and
+    the last e that the recurrence reads are kept, so dense runs of n and
+    sparse ones such as the purely p-adic stabilization window are served
+    alike; one isolated large n is cheaper by cyclic_resultant.
     """
     if variant not in ("ones", "full"):
         raise DomainError(f"unknown cyclic resultant variant {variant!r}")
+    ns = list(ns)
+    if any(n <= prev for prev, n in zip([0, *ns], ns)):
+        raise DomainError("sweep needs strictly increasing positive n")
     m, g = _split_t_minus_one(_integer_coefficients(f))
     e, a = len(g) - 1, g[-1]
     # the coefficient of x^(e - j) in the characteristic polynomial of B
     q = [g[e - j] * a ** (j - 1) for j in range(1, e + 1)]
-    P = [0]     # P[k] = tr(B^k), k >= 1; the 0 drops the j = k term below
-    last = 0
-    for n in ns:
-        if n <= last:
-            raise DomainError("sweep needs strictly increasing positive n")
-        last = n
+    wanted = {j * n for n in ns for j in range(1, e + 1)}
+    kept = {}                   # P_k for k in wanted
+    recent = deque([0] * e, maxlen=e)   # P_(k-e) .. P_(k-1), 0 for k <= 0
+    for prev, n in zip([0, *ns], ns):
         if m and variant == "full":
             yield 0         # t = 1 is a root of both
             continue
-        while len(P) <= e * n:
-            k = len(P)
+        for k in range(e * prev + 1, e * n + 1):
             # Newton: P_k = -sum_{j <= min(k, e)} q_j P_(k-j) - [k <= e] k q_k
-            s = sum(x * y for x, y in zip(q, reversed(P[-e:])))
-            P.append(-s - k * q[k - 1] if k <= e else -s)
+            s = sum(x * y for x, y in zip(q, reversed(recent)))
+            recent.append(-s - k * q[k - 1] if k <= e else -s)
+            if k in wanted:
+                kept[k] = recent[-1]
         # chi(x) = sum_k c_k x^(e-k): k c_k = -sum_{j <= k} c_(k-j) P_(jn)
-        traces = P[n::n]
+        traces = [kept[j * n] for j in range(1, e + 1)]
         value, x = 1, a**n
         chi = [1]
         for k in range(1, e + 1):

@@ -269,6 +269,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "agreement" in out
 
+    def test_mp_large_budget(self, capsys):
+        # only the 8-sample window is swept and logged, so a budget of
+        # 3000 runs no identity solve or log below n = 2989
+        start = time.perf_counter()
+        assert main(["mp", "--poly", "(3*t-1)*(t-3)*(9*t+2)*(t-6)",
+                     "--prime", "3", "--nbudget", "3000"]) == 0
+        assert time.perf_counter() - start < 10.0
+        assert "agreement:   31 3-adic digits" in capsys.readouterr().out
+
     def test_mp_contradiction_is_a_convergence_error(self, capsys,
                                                      monkeypatch):
         # a closed form that contradicts the estimator's certified digits

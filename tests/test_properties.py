@@ -1,12 +1,15 @@
 """Hypothesis property suites for the exact kernels."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from padic_mahler import pure
 from padic_mahler.entropy import entropy_padic
+from padic_mahler.errors import ConvergenceError
 from padic_mahler.iwasawa import (
     _divisible_by_p_power_cyclotomic,
     lambda_invariant,
@@ -293,3 +296,55 @@ def test_log_is_homomorphism(u1, u2, p, N):
     if x.unit % p == 0 or y.unit % p == 0:
         return
     assert (padic_log(x * y) - (padic_log(x) + padic_log(y))).is_zero
+
+
+@st.composite
+def off_circle_inputs(draw):
+    """(f, p): a product of 1-3 factors u + p*(...) + p^k*w t^d or their
+    reversals, u and w p-units, so no polygon segment has slope zero."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    units = st.sampled_from([x for x in range(-9, 10) if x % p])
+    f = LaurentPolynomial({0: 1})
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        c = [draw(units), *(p * draw(st.integers(-5, 5)) for _ in range(d - 1)),
+             p ** draw(st.integers(1, 2)) * draw(units)]
+        if draw(st.booleans()):
+            c.reverse()
+        f = f * LaurentPolynomial(dict(enumerate(c)))
+    return f, p
+
+
+def _estimate_over_every_n(f, p, n_budget, precision):
+    """Reference estimator: sweep and log every n <= n_budget coprime to
+    p, then certify the digits on which the trailing 8 estimates agree."""
+    used = [n for n in range(1, n_budget + 1) if math.gcd(n, p) == 1]
+    estimates = [pure._log_over_n(r, n, p, precision) for n, r in
+                 zip(used, cyclic_resultant_sweep(f, used, "full"))]
+    window = estimates[-pure.STABILIZATION_WINDOW:]
+    last = window[-1]
+    agree = min(min(last.agreement_valuation(w) for w in window[:-1]),
+                min(w.abs_precision for w in window))
+    if agree < 1:
+        return None
+    certified = min(agree, precision - 1)
+    return (last.truncate(certified), certified,
+            used[-pure.STABILIZATION_WINDOW:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(off_circle_inputs(), st.integers(16, 120), st.integers(2, 24))
+def test_window_estimator_matches_every_n_sweep(inputs, n_budget, precision):
+    f, p = inputs
+    assert pure.pure_measure_defined(f, p)
+    want = _estimate_over_every_n(f, p, n_budget, precision)
+    if want is None:
+        with pytest.raises(ConvergenceError):
+            pure.pure_log_mahler_estimate(f, p, n_budget, precision)
+        return
+    value, certified, window_n = want
+    got = pure.pure_log_mahler_estimate(f, p, n_budget, precision)
+    assert (got.value.v, got.value.unit, got.value.N) == \
+        (value.v, value.unit, value.N)
+    assert got.data["certified_abs_precision"] == certified
+    assert got.data["window_n"] == window_n

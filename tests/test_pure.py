@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from padic_mahler import pure
@@ -231,3 +233,65 @@ def test_nonpositive_precision_is_a_precision_error(precision):
         pure_log_mahler_estimate(f, 2, n_budget=60, precision=precision)
     with pytest.raises(PrecisionError):
         pure_log_mahler_closed_form(f, 2, precision=precision)
+
+
+# one polynomial per prime, each with no root on the p-adic unit circle
+WINDOW_INPUTS = {2: "2*t^2 - 3*t + 2", 3: "(3*t - 1)*(t - 3)*(9*t + 2)",
+                 5: "(5*t - 2)*(t - 5)*(t^2 + 5*t + 10)"}
+
+
+@pytest.mark.parametrize("p, n_budget", [(2, 60), (3, 120), (5, 41)])
+def test_only_the_window_is_swept_and_logged(monkeypatch, p, n_budget):
+    # the certificate reads the trailing 8 estimates, so exactly those n
+    # are swept and exactly those 8 logs are taken
+    swept, logged = [], []
+    real_sweep, real_log = pure.cyclic_resultant_sweep, pure._log_over_n
+
+    def sweep(f, ns, variant):
+        swept.append(list(ns))
+        return real_sweep(f, ns, variant)
+
+    def log(r, n, p, precision):
+        logged.append(n)
+        return real_log(r, n, p, precision)
+
+    monkeypatch.setattr(pure, "cyclic_resultant_sweep", sweep)
+    monkeypatch.setattr(pure, "_log_over_n", log)
+    used = [n for n in range(1, n_budget + 1) if math.gcd(n, p) == 1]
+    f = P(WINDOW_INPUTS[p])
+    for call in (
+            lambda: pure_log_mahler_estimate(f, p, n_budget, 16),
+            lambda: pure_entropy(f, p, n_budget, 16, solenoid_convention=True),
+            lambda: pure_link_growth(f * P("t - 1"), 2, p, n_budget, 16)):
+        swept.clear()
+        logged.clear()
+        result = call()
+        assert swept == [used[-8:]]
+        assert logged == used[-8:]
+        assert result.data["window_n"] == used[-8:]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pure_log_mahler_estimate(P("(t^2 + t + 1)*(2*t - 1)"), 2),
+    lambda: pure_entropy(P("(t + 1)*(3*t - 1)"), 3, solenoid_convention=True),
+    lambda: pure_link_growth(P("(t - 1)*(t + 1)*(3*t - 1)"), 2, 3),
+])
+def test_roots_of_unity_are_refused_before_any_sweep(monkeypatch, call):
+    # a root of unity lies on |z|_p = 1, so the definedness check refuses
+    # it and the R = 0 guard on the swept window is never the first line
+    def refuse(f, ns, variant):
+        raise AssertionError("swept a polynomial with a root of unity")
+
+    monkeypatch.setattr(pure, "cyclic_resultant_sweep", refuse)
+    with pytest.raises(DomainError, match="unit circle"):
+        call()
+
+
+def test_vanishing_resultant_in_the_window_is_refused(monkeypatch):
+    # out of reach through the definedness check, so the sweep is faked
+    monkeypatch.setattr(pure, "cyclic_resultant_sweep",
+                        lambda f, ns, variant: [1] * (len(ns) - 1) + [0])
+    with pytest.raises(DomainError, match=r"R\(f, t\^119 - 1\) = 0"):
+        pure_log_mahler_estimate(P("2*t - 3"), 3)
+    with pytest.raises(DomainError, match=r"R\(f, t\^119 - 1\) = 0"):
+        pure_link_growth(P("(t-1)*(2*t-3)"), 2, 3)

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,21 @@ class TestSweep:
     def test_rejects_unknown_variant(self):
         with pytest.raises(DomainError):
             list(cyclic_resultant_sweep(parse_laurent("t - 2"), [1], "nu"))
+
+    def test_sparse_window_keeps_few_power_sums(self):
+        # the 8-sample window of the 3-adic estimator at n_budget 3000;
+        # keeping all 4 * 2999 power sums peaked at ~68 MiB, those the
+        # window reads and the last 4 need under 1 MiB
+        f = parse_laurent("(3*t-1)*(t-3)*(9*t+2)*(t-6)")
+        window = [2989, 2990, 2992, 2993, 2995, 2996, 2998, 2999]
+        tracemalloc.start()
+        try:
+            values = list(cyclic_resultant_sweep(f, window, "full"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert values[-1] == cyclic_resultant(f, 2999, "full")
 
 
 class TestValuationPath:
