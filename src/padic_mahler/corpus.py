@@ -50,6 +50,8 @@ def branched_cover_homology_order(A: LaurentPolynomial, n: int,
     up to a bounded factor for links with >= 2 components.
 
     Returns (order, caveat_flag)."""
+    if components < 1:
+        raise DomainError("component count d must be >= 1")
     order = abs(cyclic_resultant(A, n, "ones"))
     return order, components >= 2
 

@@ -9,7 +9,7 @@ collapses them to one variable.
 
 squarefree_split and LaurentPolynomial.gcd run over Z on primitive integer
 coefficient lists, with the list helpers at the end of this module, which
-also serve the Hensel lift modulo p^K.
+also serve the Hensel lift modulo p^K and the cyclic-resultant residues.
 """
 
 from __future__ import annotations
@@ -444,6 +444,21 @@ def _poly_mul(a, b, mod=None):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _reduce(out, mod)
+
+
+def _poly_mulmod(a, b, F, mod=None):
+    """a b modulo the monic F of degree d (and ``mod``, when given), all d
+    coefficients kept, for any list a and a residue b of length d."""
+    d = len(F) - 1
+    out = [0] * (len(a) + d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for k in range(len(out) - 1, d - 1, -1):    # subtract c y^(k-d) F
+        c = out[k] if mod is None else out[k] % mod
+        for j in range(d):
+            out[k - d + j] -= c * F[j]
+    return out[:d] if mod is None else [x % mod for x in out[:d]]
 
 
 def _poly_divmod(a, h, mod=None):

@@ -99,8 +99,6 @@ def _defined_integral(f, p, what):
 
 def _log_over_n(r: int, n: int, p: int, precision: int) -> PadicNumber:
     """(1/n) log_p r for a nonzero integer r and n coprime to p."""
-    if precision < 1:
-        raise PrecisionError("precision must be at least 1 digit")
     inv_n = PadicNumber(p, 0, modinv(n, p**precision), precision)
     return padic_log_of_int(r, p, precision) * inv_n
 
@@ -112,6 +110,8 @@ def _stabilized_window(f, p, n_budget, precision):
     the window is swept, and R = 0 is refused there; other n need no such
     guard, since a root of unity lies on |z|_p = 1, where _defined_integral
     has already refused f."""
+    if precision < 2:
+        raise PrecisionError("precision must be at least 2 digits")
     used = [n for n in range(1, n_budget + 1) if math.gcd(n, p) == 1]
     if len(used) < STABILIZATION_WINDOW:
         raise DomainError("n_budget too small for the stabilization window")

@@ -1,4 +1,4 @@
-"""Resultants: Sylvester/Bareiss oracle and companion-matrix fast paths.
+"""Resultants: Sylvester/Bareiss oracle and fast paths on residues.
 
 The signed resultant of f = a*prod(t - alpha_i), g = b*prod(t - beta_j) is
 
@@ -8,12 +8,13 @@ the determinant of the Sylvester matrix.  Three routes are kept:
 
 * the oracle: fraction-free Bareiss elimination on the Sylvester matrix;
 * one n: the cyclic resultant R(f, nu_n), nu_n = 1 + t + ... + t^(n-1),
-  as one Bareiss determinant of nu_n over the scaled companion matrix,
-  built by binary powering (cyclic_resultant), which also gives
+  by binary powering of residues modulo F, the characteristic polynomial
+  of the scaled companion matrix B = a C (_scaled_monic), and one
+  determinant (cyclic_resultant), which also gives
   R(f, t^n - 1) = R(f, t - 1) R(f, nu_n) with R(f, t - 1) = (-1)^deg(f) f(1);
 * runs of n, dense or sparse: the trace sweep (cyclic_resultant_sweep),
-  which reads the characteristic polynomial of each power of the companion
-  matrix off its traces by Newton's identities and takes no determinant.
+  which reads the characteristic polynomial of B^n off the power sums of
+  the roots of F by Newton's identities and takes no determinant.
 
 The three agree, and the test suite checks that they do.  Modulo p^K,
 cyclic_resultant_valuation takes Berkowitz determinants instead.
@@ -33,6 +34,7 @@ from .ntheory import check_prime, vp_int
 from .padics import _unit_root_factor
 from .polynomials import (
     LaurentPolynomial,
+    _poly_mulmod,
     _primitive,
     _split_t_minus_one,
     all_ones_polynomial,
@@ -105,69 +107,44 @@ def resultant(f: LaurentPolynomial, g: LaurentPolynomial) -> Fraction:
     return Fraction(det * gf**dg * gg**df, nf**dg * ng**df)
 
 
-# -- companion-matrix machinery -------------------------------------------
+# -- residues modulo the scaled characteristic polynomial ---------------
 
 
-def _scaled_companion(coeffs):
-    """(B, a, d): B = a*C with C the companion matrix of f/a, a = leading
-    coefficient, d = degree, for f given by its ascending integer
-    coefficients c_0 .. c_d.  B is an integer matrix, empty when d = 0."""
-    d = len(coeffs) - 1
-    a = coeffs[d]
-    B = [[0] * d for _ in range(d)]
-    for i in range(d - 1):
-        B[i + 1][i] = a
-    for i in range(d):
-        B[i][d - 1] = -coeffs[i]
-    return B, a, d
+def _scaled_monic(coeffs):
+    """(F, a) for f given by its ascending integer coefficients c_0 .. c_d,
+    with a = c_d: the monic integer F(y) = a^(d-1) f(y/a), whose roots are
+    the a alpha_i.  F is the characteristic polynomial of B = a C, C the
+    companion matrix of f/a, and its own companion matrix is similar to B;
+    F = [1] when d = 0."""
+    *low, a = coeffs
+    d = len(low)
+    return [c * a ** (d - 1 - i) for i, c in enumerate(low)] + [1], a
 
 
-def _mat_mul(A, B, mod=None):
-    n = len(A)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for k in range(n):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                row = out[i]
-                for j in range(n):
-                    row[j] += a * Bk[j]
-        if mod is not None:
-            out[i] = [x % mod for x in out[i]]
-    return out
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_add_scalar(A, s, mod=None):
-    """A + s*I."""
-    out = [row[:] for row in A]
-    for i in range(len(A)):
-        out[i][i] += s
-    if mod is not None:
-        out = [[x % mod for x in row] for row in out]
-    return out
-
-
-def _power_and_ones_sum(B, a, n, mod=None):
-    """(B^n, H_n) with H_n = sum_{i<n} a^(n-1-i) B^i, exact integer
-    matrices (reduced mod ``mod`` when given), by binary recursion."""
+def _power_and_ones_sum(b, a, n, F, mod=None):
+    """(b^n, H_n), H_n = sum_{i<n} a^(n-1-i) b^i, residues of a list b
+    modulo the monic F (and ``mod``, when given), by binary recursion."""
     if n == 1:
-        return [row[:] for row in B], _identity(len(B))
+        one = [1] + [0] * (len(F) - 2)
+        return _poly_mulmod(b, one, F, mod), one
     m = n // 2
-    P, H = _power_and_ones_sum(B, a, m, mod)
-    # H_{2m} = (a^m I + B^m) H_m ; B^{2m} = (B^m)^2
-    H = _mat_mul(_mat_add_scalar(P, pow(a, m, mod), mod), H, mod)
-    P = _mat_mul(P, P, mod)
+    P, H = _power_and_ones_sum(b, a, m, F, mod)
+    # H_{2m} = (a^m + b^m) H_m ; b^{2m} = (b^m)^2
+    H = _poly_mulmod([P[0] + pow(a, m, mod), *P[1:]], H, F, mod)
+    P = _poly_mulmod(P, P, F, mod)
     if n % 2:
-        # H_{2m+1} = a^(2m) I + B H_{2m} ; B^{2m+1} = B^(2m) B
-        H = _mat_add_scalar(_mat_mul(B, H, mod), pow(a, 2 * m, mod), mod)
-        P = _mat_mul(P, B, mod)
+        # H_{2m+1} = a H_{2m} + b^{2m} ; b^{2m+1} = b b^{2m}
+        H = [a * h + x for h, x in zip(H, P)]
+        P = _poly_mulmod(b, P, F, mod)
     return P, H
+
+
+def _multiplication_matrix(h, F, mod=None):
+    """h(C), C the companion matrix of the monic F: the matrix of
+    multiplication by the residue h modulo F (and ``mod``), whose column j
+    is y^j h mod F."""
+    return [list(row) for row in zip(*(
+        _poly_mulmod([0] * j + [1], h, F, mod) for j in range(len(F) - 1)))]
 
 
 def berkowitz_determinant_mod(A, mod: int) -> int:
@@ -210,28 +187,33 @@ def _integer_coefficients(f: LaurentPolynomial):
     return f.integer_coefficients_ascending()
 
 
+def _check_variant(variant: str):
+    if variant not in ("ones", "full"):
+        raise DomainError(f"unknown cyclic resultant variant {variant!r}")
+
+
 def cyclic_resultant(f: LaurentPolynomial, n: int, variant: str = "ones") -> int:
     """Signed exact R(f, nu) with nu = 1 + t + ... + t^(n-1)
     (variant="ones") or R(f, t^n - 1) = R(f, t - 1) R(f, nu)
     (variant="full"), with R(f, t - 1) = (-1)^deg(f) f(1).
 
     f must be nonzero with integer coefficients; it is normalized first.
-    R(f, nu) is a^(n-1) det(nu(C)) over the scaled integer companion
-    matrix, by binary powering: the route for one isolated n
+    R(f, nu) = a^(n-1) det nu(C) is det H / a^((n-1)(d-1)), H the matrix of
+    multiplication by sum_{i<n} a^(n-1-i) y^i modulo F = _scaled_monic(f),
+    reduced by binary powering: the route for one isolated n
     (cyclic_resultant_sweep serves dense runs of n).
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    if variant not in ("ones", "full"):
-        raise DomainError(f"unknown cyclic resultant variant {variant!r}")
+    _check_variant(variant)
     coeffs = _integer_coefficients(f)
     scale = (-1) ** (len(coeffs) - 1) * sum(coeffs) if variant == "full" else 1
-    B, a, d = _scaled_companion(coeffs)
-    if d == 0:
+    F, a = _scaled_monic(coeffs)
+    if len(F) == 1:
         return scale * a ** (n - 1)
-    # R(f, nu_n) = det(H_n) / a^((n-1)(d-1)), H_n = sum_{i<n} a^(n-1-i) B^i
-    value, r = divmod(bareiss_determinant(_power_and_ones_sum(B, a, n)[1]),
-                      a ** ((n - 1) * (d - 1)))
+    H = _power_and_ones_sum([0, 1], a, n, F)[1]
+    value, r = divmod(bareiss_determinant(_multiplication_matrix(H, F)),
+                      a ** ((n - 1) * (len(F) - 2)))
     if r:
         raise ConvergenceError("companion scaling must divide exactly")
     return scale * value
@@ -242,33 +224,31 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     increasing iterable ``ns`` of positive integers, with no determinant.
 
     f = (t - 1)^m g with g(1) != 0 is split first.  Let e = deg g, a its
-    leading coefficient and B = a C its scaled companion matrix, whose
-    eigenvalues are the a alpha_i.  With chi the characteristic polynomial
-    of B^n, chi(a^n) = prod (a^n - (a alpha_i)^n), so
+    leading coefficient and F = _scaled_monic(g), the characteristic
+    polynomial of B = a C, whose roots are the a alpha_i.  With chi that of
+    B^n, chi(a^n) = prod (a^n - (a alpha_i)^n), so
 
         R(g, t^n - 1) = (-1)^e chi(a^n) / a^((e - 1) n),
         R(f, t^n - 1) = 0 if m > 0, else R(g, t^n - 1),
         R(f, nu_n) = n^m R(g, t^n - 1) / ((-1)^e g(1)).
 
     chi comes from traces, as in Le Verrier's method: the power sums
-    P_k = tr(B^k) follow Newton's recurrence on the characteristic
-    polynomial x^e + sum_{i<e} g_i a^(e-1-i) x^i of B, one O(e) step per k
-    up to e * max(ns), and Newton's identities on P_n, P_2n, .., P_en give
+    P_k = tr(B^k) of the roots of F follow Newton's recurrence on the
+    coefficients of F, one O(e) step per k up to e * max(ns), and
+    Newton's identities on P_n, P_2n, .., P_en give
     the integer coefficients of chi in O(e^2) per requested n.  Every
     division is checked exact.  Only the P_(jn), j <= e and n in ns, and
     the last e that the recurrence reads are kept, so dense runs of n and
     sparse ones such as the purely p-adic stabilization window are served
     alike; one isolated large n is cheaper by cyclic_resultant.
     """
-    if variant not in ("ones", "full"):
-        raise DomainError(f"unknown cyclic resultant variant {variant!r}")
+    _check_variant(variant)
     ns = list(ns)
     if any(n <= prev for prev, n in zip([0, *ns], ns)):
         raise DomainError("sweep needs strictly increasing positive n")
     m, g = _split_t_minus_one(_integer_coefficients(f))
-    e, a = len(g) - 1, g[-1]
-    # the coefficient of x^(e - j) in the characteristic polynomial of B
-    q = [g[e - j] * a ** (j - 1) for j in range(1, e + 1)]
+    F, a = _scaled_monic(g)
+    e, q = len(g) - 1, F[-2::-1]    # q_j: the coefficient of x^(e - j) in F
     wanted = {j * n for n in ns for j in range(1, e + 1)}
     kept = {}                   # P_k for k in wanted
     recent = deque([0] * e, maxlen=e)   # P_(k-e) .. P_(k-1), 0 for k <= 0
@@ -304,6 +284,7 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
 def cyclic_resultant_sylvester(f: LaurentPolynomial, n: int,
                                variant: str = "ones") -> int:
     """Sylvester-matrix oracle for cyclic_resultant (slow, independent)."""
+    _check_variant(variant)
     g = {"ones": all_ones_polynomial, "full": power_minus_one}[variant](n)
     value = resultant(f, g)
     if value.denominator != 1:
@@ -320,8 +301,8 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, ns, p: int):
         v_p R(f, nu_n) = (n - 1) * mu + v_p R(f0, nu_n),
 
     where mu is the Gauss-norm valuation (the p-adic Mahler measure is
-    p^(-mu)) and f0 the monic factor of F = f / p^mu over Z_p whose roots
-    are the p-adic units.  A root alpha of F with |alpha|_p > 1 gives
+    p^(-mu)) and f0 the monic factor of G = f / p^mu over Z_p whose roots
+    are the p-adic units.  A root alpha of G with |alpha|_p > 1 gives
     nu_n(alpha) of valuation (n - 1) v_p(alpha), one with |alpha|_p < 1 a
     unit; together with the leading coefficient they contribute exactly
     (n - 1) * mu.  In a p-power tower, n = p^r, this is the mu * p^r term
@@ -330,7 +311,8 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, ns, p: int):
     f0 is lifted once, modulo one p^K sized by the largest n (not by mu or
     the leading coefficient).  With C its companion matrix, R(f0, nu_n) =
     det nu_n(C); as nu_(qm)(t) = nu_q(t^m) nu_m(t) and det is
-    multiplicative, the step from m to qm adds v_p det nu_q(C^m).  A
+    multiplicative, the step from m to qm adds v_p det nu_q(C^m), taken on
+    the multiplication matrix of the residue nu_q(t^m) modulo f0 and p^K.  A
     nonzero residue certifies its valuation; if one vanishes, K doubles
     for the whole chain (the resultants must be nonzero, which callers
     guarantee by excluding n-th roots of unity among the roots).
@@ -340,19 +322,20 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, ns, p: int):
         raise DomainError("need a divisor chain of n >= 1")
     coeffs = _integer_coefficients(f)
     mu = min(vp_int(c, p) for c in coeffs if c)
-    F = [c // p**mu for c in coeffs]
-    units = [i for i, c in enumerate(F) if c % p]
+    coeffs = [c // p**mu for c in coeffs]
+    units = [i for i, c in enumerate(coeffs) if c % p]
     d0 = units[-1] - units[0]
     if d0 == 0:  # no unit roots: R(f0, nu_n) = 1
         return [(n - 1) * mu for n in ns]
     K = (d0 + 2) * (ns[-1].bit_length() + 8) + 32
     for _ in range(8):
         mod = p**K
-        P, _, _ = _scaled_companion(_unit_root_factor(F, p, K))
-        out, v = [], 0
+        f0 = _unit_root_factor(coeffs, p, K)
+        P, out, v = [0, 1], [], 0
         for m, n in zip([1, *ns], ns):
-            P, S = _power_and_ones_sum(P, 1, n // m, mod)
-            det = berkowitz_determinant_mod(S, mod)
+            P, S = _power_and_ones_sum(P, 1, n // m, f0, mod)
+            det = berkowitz_determinant_mod(
+                _multiplication_matrix(S, f0, mod), mod)
             if not det or vp_int(det, p) >= K - 1:
                 break  # not certified strictly inside the window
             v += vp_int(det, p)

@@ -150,8 +150,83 @@ class TestCyclicResultant:
             cyclic_resultant(LaurentPolynomial.zero(), 3)
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(DomainError):
-            cyclic_resultant(parse_laurent("t - 2"), 3, "nu_variant")
+        for route in (cyclic_resultant, cyclic_resultant_sylvester):
+            with pytest.raises(DomainError, match="unknown cyclic resultant"):
+                route(parse_laurent("t - 2"), 3, "nu_variant")
+
+    def test_lucas_closed_form(self):
+        # t^2 - 3t + 1 has roots phi^2, phi^-2 and f(1) = -1, so
+        # R(f, nu_n) = (phi^2n - 1)(phi^-2n - 1) / -1 = L_2n - 2, with L_k
+        # the Lucas numbers
+        f = parse_laurent("t^2 - 3*t + 1")
+        ns = [*range(1, 41), 1000, 100000]
+        lucas, prev, want = 2, -1, {}
+        for k in range(2 * ns[-1] + 1):
+            if k % 2 == 0 and k // 2 in ns:
+                want[k // 2] = lucas - 2
+            lucas, prev = lucas + prev, lucas
+        for n in ns:
+            assert cyclic_resultant(f, n, "ones") == want[n], n
+
+
+def _mat_product(A, B):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+class TestResidueKernel:
+    @pytest.mark.parametrize("mod", [None, 3**20])
+    def test_multiplication_matrix_is_h_of_companion(self, mod):
+        rng = random.Random(53)
+        for _ in range(30):
+            d = rng.randint(1, 7)
+            F = [rng.randint(-10**6, 10**6) for _ in range(d)] + [1]
+            h = [rng.randint(-10**6, 10**6) for _ in range(d)]
+            if mod is not None:
+                F = [c % mod for c in F[:-1]] + [1]
+            # sum_i h_i C^i over Z, C the companion matrix of F
+            C = [[int(i == j + 1) for j in range(d)] for i in range(d)]
+            for i in range(d):
+                C[i][d - 1] = -F[i]
+            power = [[int(i == j) for j in range(d)] for i in range(d)]
+            want = [[0] * d for _ in range(d)]
+            for c in h:
+                want = [[w + c * x for w, x in zip(wr, pr)]
+                        for wr, pr in zip(want, power)]
+                power = _mat_product(power, C)
+            if mod is not None:
+                want = [[x % mod for x in row] for row in want]
+            assert resultants._multiplication_matrix(h, F, mod) == want
+
+    def test_one_bareiss_determinant_of_dimension_deg_f(self, monkeypatch):
+        dims = []
+        real = resultants.bareiss_determinant
+
+        def spy(matrix):
+            dims.append(len(matrix))
+            return real(matrix)
+
+        monkeypatch.setattr(resultants, "bareiss_determinant", spy)
+        for text, d in (("2*t^2 - 3*t + 2", 2), ("3*t^8-5*t^5+t^3+7*t-4", 8)):
+            for n in (2, 17, 1000):
+                dims.clear()
+                cyclic_resultant(parse_laurent(text), n, "full")
+                assert dims == [d], (text, n)
+
+    def test_one_berkowitz_determinant_per_chain_level(self, monkeypatch):
+        dims = []
+        real = resultants.berkowitz_determinant_mod
+
+        def spy(matrix, mod):
+            dims.append(len(matrix))
+            return real(matrix, mod)
+
+        monkeypatch.setattr(resultants, "berkowitz_determinant_mod", spy)
+        # at p = 2 the unit coefficients sit at t^1 .. t^8, so d0 = 7
+        f = parse_laurent("3*t^8-5*t^5+t^3+7*t-4")
+        chain = [2**r for r in range(1, 9)]
+        cyclic_resultant_valuation(f, chain, 2)
+        assert dims == [7] * len(chain)
 
 
 BIG = "31415926535897932384626433832795028841971693993751"   # 50 digits
