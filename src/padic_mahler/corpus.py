@@ -76,8 +76,6 @@ class Claim:
 class LinkRecord:
     name: str
     components: int
-    cover: str
-    delta_text: str
     substitutions: list
     reduced_overrides: dict
     annotations: list
@@ -136,8 +134,6 @@ def _parse_record(entry) -> LinkRecord:
     return LinkRecord(
         name=entry["name"],
         components=entry["components"],
-        cover=entry.get("cover", "TLN"),
-        delta_text=entry["delta"],
         substitutions=subs,
         reduced_overrides=dict(entry.get("reduced_overrides", {})),
         annotations=list(entry.get("annotations", [])),

@@ -3,8 +3,8 @@
 Literals are integers and rationals ``a/b``; variables match
 ``[a-zA-Z][a-zA-Z0-9_]*``; operators are ``+ - * ^`` plus parentheses.
 Implicit multiplication is rejected, and ``^`` takes a (possibly negative,
-optionally parenthesized) integer exponent.  The printers on the polynomial
-classes emit descending exponents with explicit ``*``, and
+optionally parenthesized) integer exponent.  The one printer of both
+polynomial classes emits descending exponents with explicit ``*``, and
 ``parse(str(f)) == f`` is a tested round-trip.
 """
 
@@ -231,12 +231,9 @@ def parse_polynomial(text: str):
     return MultivariatePolynomial(variables, terms)
 
 
-def parse_laurent(text: str, variable=None) -> LaurentPolynomial:
+def parse_laurent(text: str) -> LaurentPolynomial:
     """Parse text that must denote a one-variable Laurent polynomial."""
     poly = parse_polynomial(text)
     if not isinstance(poly, LaurentPolynomial):
         raise DomainError(f"{text!r} is not a one-variable polynomial")
-    if variable is not None and not poly.is_constant and poly.variable != variable:
-        raise DomainError(
-            f"expected variable {variable!r}, found {poly.variable!r}")
     return poly

@@ -5,7 +5,8 @@ coefficients; exponents may be negative and no zero coefficient is ever
 stored (the zero polynomial is the empty map).  A MultivariatePolynomial
 has integer coefficients, non-negative exponent vectors of fixed arity,
 and exists to hold multivariable link polynomials before substitution
-collapses them to one variable.
+collapses them to one variable.  One printer, _format_terms, serves both
+classes: a Laurent polynomial hands it its terms as 1-vectors.
 
 squarefree_split and LaurentPolynomial.gcd run over Z on primitive integer
 coefficient lists, with the list helpers at the end of this module, which
@@ -195,10 +196,6 @@ class LaurentPolynomial:
             return Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
         return total
 
-    def derivative(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(
-            {e - 1: c * e for e, c in self.terms.items() if e != 0}, self.variable)
-
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by variable**k."""
         return LaurentPolynomial({e + k: c for e, c in self.terms.items()},
@@ -223,24 +220,8 @@ class LaurentPolynomial:
     # -- printing -----------------------------------------------------
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            sign = "-" if c < 0 else "+"
-            a = abs(c)
-            if e == 0:
-                body = str(a)
-            else:
-                var = self.variable if e == 1 else f"{self.variable}^{e}"
-                body = var if a == 1 else f"{a}*{var}"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _format_terms({(e,): c for e, c in self.terms.items()},
+                             (self.variable,))
 
     def __repr__(self):
         return f"LaurentPolynomial({self})"
@@ -275,8 +256,8 @@ class MultivariatePolynomial:
     def arity(self) -> int:
         return len(self.variables)
 
-    def substitute(self, exponents, target: str = "t") -> LaurentPolynomial:
-        """Replace variable i by target**exponents[i]."""
+    def substitute(self, exponents) -> LaurentPolynomial:
+        """Replace variable i by t**exponents[i]."""
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != self.arity:
             raise DomainError(
@@ -285,7 +266,7 @@ class MultivariatePolynomial:
         for exps, c in self.terms.items():
             e = sum(v * k for v, k in zip(exps, exponents))
             terms[e] = terms.get(e, 0) + c
-        return LaurentPolynomial(terms, target)
+        return LaurentPolynomial(terms)
 
     def __eq__(self, other):
         if not isinstance(other, MultivariatePolynomial):
@@ -296,35 +277,30 @@ class MultivariatePolynomial:
         return hash((self.variables, tuple(sorted(self.terms.items()))))
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        keys = sorted(self.terms, key=lambda k: (sum(k), k), reverse=True)
-        pieces = []
-        for exps in keys:
-            c = self.terms[exps]
-            sign = "-" if c < 0 else "+"
-            a = abs(c)
-            vars_part = []
-            for v, e in zip(self.variables, exps):
-                if e == 1:
-                    vars_part.append(v)
-                elif e > 1:
-                    vars_part.append(f"{v}^{e}")
-            if not vars_part:
-                body = str(a)
-            else:
-                body = "*".join(vars_part)
-                if a != 1:
-                    body = f"{a}*{body}"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _format_terms(self.terms, self.variables)
 
     def __repr__(self):
         return f"MultivariatePolynomial({self})"
+
+
+def _format_terms(terms, variables) -> str:
+    """The one printer of both classes, over {exponent vector: nonzero
+    coefficient}: terms by descending total degree, then descending
+    exponents, with an explicit * between factors ("0" for no terms)."""
+    out = ""
+    for exps in sorted(terms, key=lambda k: (sum(k), k), reverse=True):
+        c = terms[exps]
+        a = abs(c)
+        factors = [v if e == 1 else f"{v}^{e}"
+                   for v, e in zip(variables, exps) if e]
+        if a != 1 or not factors:
+            factors.insert(0, str(a))
+        body = "*".join(factors)
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            out = f"-{body}" if c < 0 else body
+    return out or "0"
 
 
 # -- the operations the rest of the package is built on ----------------
@@ -356,18 +332,18 @@ def content_and_primitive(f: LaurentPolynomial):
                                       f.variable)
 
 
-def all_ones_polynomial(n: int, variable: str = "t") -> LaurentPolynomial:
+def all_ones_polynomial(n: int) -> LaurentPolynomial:
     """1 + t + ... + t^(n-1), the quotient (t^n - 1)/(t - 1); n >= 1."""
     if n < 1:
         raise DomainError("need n >= 1")
-    return LaurentPolynomial({e: 1 for e in range(n)}, variable)
+    return LaurentPolynomial({e: 1 for e in range(n)})
 
 
-def power_minus_one(n: int, variable: str = "t") -> LaurentPolynomial:
+def power_minus_one(n: int) -> LaurentPolynomial:
     """t^n - 1."""
     if n < 1:
         raise DomainError("need n >= 1")
-    return LaurentPolynomial({n: 1, 0: -1}, variable)
+    return LaurentPolynomial({n: 1, 0: -1})
 
 
 def squarefree_split(f: LaurentPolynomial):

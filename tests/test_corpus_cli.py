@@ -223,6 +223,18 @@ EXIT_CODE_CASES = [
       "--precision", "1"], 5),
     (["homology", "--poly", "t^2-3*t+1", "--n", "3", "--components", "0"], 4),
     (["mahler", "--delta", "x*y-x-y+1", "--subs", "1,1,1"], 4),
+    # rational coefficients: only the Mahler measures take them
+    (["iwasawa", "--poly", "1/2*t+1", "--prime", "3"], 4),
+    (["mp", "--poly", "1/2*t+1", "--prime", "3"], 4),
+    (["hbar", "--poly", "1/2*t+1", "--prime", "3", "--solenoid"], 4),
+    (["homology", "--poly", "1/2*t+1", "--n", "3"], 4),
+    (["growth", "--poly", "1/2*t+1", "--place", "3"], 4),
+    (["growth", "--poly", "1/2*t+1", "--place", "inf"], 4),
+    (["growth", "--poly", "(t-1)*(1/2*t+1)", "--place", "3", "--pure",
+      "--components", "2"], 4),
+    (["entropy", "--poly", "1/2*t+1"], 4),
+    (["mahler", "--poly", "1/2*t+1", "--place", "inf"], 0),
+    (["mahler", "--poly", "1/2*t+1", "--place", "2"], 0),
 ]
 
 
