@@ -28,7 +28,7 @@ from .iwasawa import verify_consistency
 from .mahler import mahler_euclidean, mahler_padic, resultant_limit_estimate
 from .ntheory import INFINITY
 from .parsing import parse_laurent, parse_polynomial
-from .polynomials import MultivariatePolynomial
+from .polynomials import _substitute
 from .pure import closed_form_agreement, pure_entropy, \
     pure_log_mahler_closed_form, pure_log_mahler_estimate, pure_link_growth
 
@@ -59,16 +59,14 @@ def _add_poly_options(sub):
 
 
 def _resolve_poly(args):
+    """The polynomial of --poly, or of --delta substituted by --subs as the
+    corpus substitutes (polynomials._substitute): t -> t^k for one variable,
+    the arity checked; only a one-variable --delta may omit --subs."""
     if args.poly is not None:
         return parse_laurent(args.poly)
     if args.delta is None:
         raise DomainError("provide --poly, or --delta with --subs")
-    delta = parse_polynomial(args.delta)
-    if isinstance(delta, MultivariatePolynomial):
-        if args.subs is None:
-            raise DomainError("--delta needs --subs exponents")
-        return delta.substitute(args.subs)
-    return delta
+    return _substitute(parse_polynomial(args.delta), args.subs)
 
 
 def exponents(text):

@@ -28,7 +28,9 @@ from .parsing import parse_laurent, parse_polynomial
 from .polynomials import (
     LaurentPolynomial,
     MultivariatePolynomial,
+    _substitute,
     normalize,
+    normalize_integral,
     power_minus_one,
 )
 from .pure import (
@@ -74,6 +76,12 @@ class Claim:
 
 @dataclass
 class LinkRecord:
+    """A link's printed polynomial ``delta``, in one or more variables, and
+    the substitutions to the one variable of its Z-covers, taken as the
+    CLI's --delta/--subs are (polynomials._substitute): a one-variable
+    delta with exponent k becomes delta(t^k), and load_corpus refuses a
+    vector whose length is not delta's arity."""
+
     name: str
     components: int
     substitutions: list
@@ -89,10 +97,7 @@ class LinkRecord:
         raise DomainError(f"record {self.name} has no substitution {label!r}")
 
     def derived_reduced(self, label: str) -> LaurentPolynomial:
-        sub = self.substitution(label)
-        if isinstance(self.delta, LaurentPolynomial):
-            return self.delta.compose_power(sub.exponents[0])
-        return self.delta.substitute(sub.exponents)
+        return _substitute(self.delta, self.substitution(label).exponents)
 
     def reduced_polynomial(self, label: str) -> LaurentPolynomial:
         """Override when present, otherwise the substituted polynomial."""
@@ -110,19 +115,14 @@ class LinkRecord:
 
 
 def _parse_record(entry) -> LinkRecord:
-    try:
-        delta = parse_polynomial(entry["delta"])
-    except PadicMahlerError as exc:
-        raise DomainError(
-            f"record {entry.get('name')}: delta does not parse: {exc}")
     subs = [Substitution(s["label"], tuple(s["exponents"]))
             for s in entry["substitutions"]]
-    arity = delta.arity if isinstance(delta, MultivariatePolynomial) else 1
-    for s in subs:
-        if len(s.exponents) != arity:
-            raise DomainError(
-                f"record {entry['name']}: substitution {s.label} arity "
-                f"{len(s.exponents)} != {arity}")
+    try:
+        delta = parse_polynomial(entry["delta"])
+        for s in subs:      # refuses a vector of the wrong arity at load
+            _substitute(delta, s.exponents)
+    except PadicMahlerError as exc:
+        raise DomainError(f"record {entry.get('name')}: {exc}") from exc
     claims = []
     for c in entry.get("claims", []):
         params = {k: v for k, v in c.items()
@@ -284,7 +284,7 @@ def _check_claim(record: LinkRecord, claim: Claim, tol: float):
                    f"{params['log_value']:.12f} ({params.get('closed_form')})"
 
     if kind == "lead_valuation":
-        lead = int(normalize(poly).leading_coefficient)
+        lead = int(normalize_integral(poly).leading_coefficient)
         got = vp_int(lead, params["p"])
         return got == params["value"], \
             f"v_{params['p']}(a_0) = {got}, expected {params['value']}"

@@ -21,7 +21,8 @@ from .errors import ConvergenceError, DomainError
 from .iwasawa import mu_invariant
 from .mahler import LogMeasure, mahler_euclidean, mahler_padic
 from .ntheory import check_prime, factorize, vp_int
-from .polynomials import LaurentPolynomial, content_and_primitive, normalize
+from .polynomials import (LaurentPolynomial, content_and_primitive,
+                          normalize_integral)
 
 
 def entropy_padic(A: LaurentPolynomial, p: int) -> LogMeasure:
@@ -29,9 +30,7 @@ def entropy_padic(A: LaurentPolynomial, p: int) -> LogMeasure:
     monic normalization A/a_0 at p: v_p(a_0) plus the p-adic log measure
     of A, whose Gauss norm mahler_padic checks against the polygon."""
     check_prime(p)
-    A = normalize(A)
-    if not A.is_integral:
-        raise DomainError("p-adic entropy requires integer coefficients")
+    A = normalize_integral(A)
     lead_val = vp_int(int(A.leading_coefficient), p)
     return LogMeasure.finite(p, lead_val + mahler_padic(A, p).coefficient)
 
@@ -60,7 +59,7 @@ class BalanceIdentity:
 
 def balance_check(A: LaurentPolynomial, p: int) -> BalanceIdentity:
     """The one home of the triple (v_p(a_0), h_p, mu_p)."""
-    A = normalize(A)
+    A = normalize_integral(A)
     lead_val = Fraction(vp_int(int(A.leading_coefficient), p))
     h_coeff = entropy_padic(A, p).coefficient
     return BalanceIdentity(p, lead_val, h_coeff, mu_invariant(A, p))
@@ -82,9 +81,7 @@ class LeadingCoefficientIdentity:
 def leading_coeff_identity(A: LaurentPolynomial) -> LeadingCoefficientIdentity:
     """{p: balance_check(A, p)} over the primes of one complete
     factorization of a_0 (ntheory.factorize)."""
-    A = normalize(A)
-    if not A.is_integral:
-        raise DomainError("entropy requires integer coefficients")
+    A = normalize_integral(A)
     a0 = int(A.leading_coefficient)
     return LeadingCoefficientIdentity(
         a0, {p: balance_check(A, p) for p in factorize(a0)})
@@ -121,7 +118,7 @@ def entropy_total(A: LaurentPolynomial, tol: float = 1e-9) -> EntropyReport:
     h_p and content_factors are its nonzero h_p and mu_p = v_p(content).
     Checks every triple, prod p^h_p = a_0/content and, within tol,
     the reconciliation h = log m(primitive part)."""
-    A = normalize(A)
+    A = normalize_integral(A)
     balance = leading_coeff_identity(A).per_prime
     for b in balance.values():
         if not b.holds:

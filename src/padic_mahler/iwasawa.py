@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .ntheory import check_prime, vp_int
-from .polynomials import LaurentPolynomial, normalize
+from .polynomials import LaurentPolynomial, normalize_integral
 from .resultants import cyclic_resultant_valuation
 from .valuations import gauss_norm_valuation
 
@@ -42,14 +42,6 @@ class IwasawaInvariants:
     def to_dict(self):
         return {"p": self.p, "lambda": self.lam, "mu": self.mu,
                 "nu": self.nu, "r0": self.r0, "source": self.source}
-
-
-def _prepare(A: LaurentPolynomial, p: int) -> LaurentPolynomial:
-    check_prime(p)
-    A = normalize(A)
-    if not A.is_integral:
-        raise DomainError("Iwasawa invariants require integer coefficients")
-    return A
 
 
 def _divisible_by_p_power_cyclotomic(A: LaurentPolynomial, p: int):
@@ -70,7 +62,8 @@ def qhs3_condition(A: LaurentPolynomial, p: int) -> bool:
     """True iff A vanishes at no p-power-th root of unity (including 1),
     i.e. iff all the branched p-power covers are rational homology
     spheres."""
-    A = _prepare(A, p)
+    check_prime(p)
+    A = normalize_integral(A)
     if A(1) == 0:
         return False
     return _divisible_by_p_power_cyclotomic(A, p) is None
@@ -88,15 +81,17 @@ def _require_nonzero_tower_resultants(A: LaurentPolynomial, p: int):
 
 
 def _guarded(A: LaurentPolynomial, p: int) -> LaurentPolynomial:
-    """The prepared A, after the guard every tower computation needs."""
-    A = _prepare(A, p)
+    """The normalized A, after the guard every tower computation needs."""
+    check_prime(p)
+    A = normalize_integral(A)
     _require_nonzero_tower_resultants(A, p)
     return A
 
 
 def mu_invariant(A: LaurentPolynomial, p: int) -> int:
     """mu = min_i v_p(a_i), the Gauss-norm valuation."""
-    A = _prepare(A, p)
+    check_prime(p)
+    A = normalize_integral(A)
     return gauss_norm_valuation(A, p)
 
 
@@ -109,7 +104,7 @@ def lambda_invariant(A: LaurentPolynomial, p: int) -> int:
 
 
 def _lambda(A: LaurentPolynomial, p: int) -> int:
-    """lambda_invariant of a prepared, guarded A."""
+    """lambda_invariant of a normalized, guarded A."""
     mu = gauss_norm_valuation(A, p)
     c = A.integer_coefficients_ascending()
     for i in range(len(c) - 1):          # integer Taylor shift t -> 1 + T
@@ -124,7 +119,7 @@ def tower_order_valuations(A: LaurentPolynomial, p: int, r_max: int):
 
 
 def _tower(A: LaurentPolynomial, p: int, r_max: int):
-    """tower_order_valuations of a prepared, guarded A."""
+    """tower_order_valuations of a normalized, guarded A."""
     return cyclic_resultant_valuation(
         A, [p**r for r in range(1, r_max + 1)], p)
 
@@ -137,7 +132,7 @@ def fit_invariants(A: LaurentPolynomial, p: int, r_max: int = 6) -> IwasawaInvar
 
 
 def _fit(A: LaurentPolynomial, p: int, r_max: int) -> IwasawaInvariants:
-    """fit_invariants of a prepared, guarded A."""
+    """fit_invariants of a normalized, guarded A."""
     if r_max < 3:
         raise DomainError("fitting needs r_max >= 3")
     e = _tower(A, p, r_max)
@@ -201,7 +196,8 @@ def verify_consistency(A: LaurentPolynomial, p: int,
     link cover polynomial carries); any further degeneracy at p-power-th
     roots of unity is an error.
     """
-    A = _prepare(A, p)
+    check_prime(p)
+    A = normalize_integral(A)
     c = A.integer_coefficients_ascending()
     # a multiple zero at 1 is A(1) = 0 = A'(1)
     if sum(c) == 0 == sum(i * x for i, x in enumerate(c)):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .ntheory import INFINITY, check_prime, vp_int
-from .polynomials import (LaurentPolynomial, _primitive, normalize,
+from .polynomials import (LaurentPolynomial, _primitive, normalize_integral,
                           squarefree_split)
 from .resultants import cyclic_resultant_sweep
 from .roots import aberth_roots, dyadic, polish_roots
@@ -233,19 +233,16 @@ def resultant_limit_estimate(f: LaurentPolynomial, place, n_max: int = 100,
                              skip_p_multiples: bool = False,
                              tol: float = 1e-9) -> ConvergenceReport:
     """Estimate the log Mahler measure at ``place`` from the exact cyclic
-    resultants R(f, nu_n), n <= n_max, and compare with the closed form.
+    resultants R(f, nu_n), n <= n_max, and compare with the closed form;
+    f must be nonzero with integer coefficients.
 
     At a finite place both the restricted (gcd(n,p) = 1) and unrestricted
     sequences are recorded; ``skip_p_multiples`` selects which one the
     extrapolated limit uses.
     """
-    if f.is_zero:
-        raise ZeroPolynomialError("estimator needs a nonzero polynomial")
+    f = normalize_integral(f)
     if n_max < 8:
         raise DomainError("n_max must be at least 8")
-    f = normalize(f)
-    if not f.is_integral:
-        raise DomainError("estimator requires integer coefficients")
     finite = place != INFINITY
     if finite:
         check_prime(place)

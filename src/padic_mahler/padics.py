@@ -18,11 +18,11 @@ from .errors import (
     DomainError,
     HenselError,
     PrecisionError,
-    ZeroPolynomialError,
 )
 from .ntheory import INFINITY, check_prime, modinv, vp_int
 from .polynomials import (LaurentPolynomial, _derivative, _horner, _poly_add,
-                          _poly_divmod, _poly_mul, _poly_sub, normalize)
+                          _poly_divmod, _poly_mul, _poly_sub,
+                          normalize_integral)
 
 
 class PadicNumber:
@@ -234,9 +234,7 @@ def hensel_lift(f: LaurentPolynomial, p: int, start: int,
     and the returned value satisfies v(f(root)) >= N + v(f'(root)) (checked).
     """
     check_prime(p)
-    if f.is_zero:
-        raise ZeroPolynomialError("cannot lift a root of the zero polynomial")
-    coeffs = normalize(f).integer_coefficients_ascending()
+    coeffs = normalize_integral(f).integer_coefficients_ascending()
     if len(coeffs) == 1:
         raise DomainError("a nonzero constant has no roots")
     deriv = _derivative(coeffs)

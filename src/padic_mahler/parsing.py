@@ -205,7 +205,8 @@ class _Parser:
 
 def parse_polynomial(text: str):
     """Parse to a LaurentPolynomial (<= 1 variable) or a
-    MultivariatePolynomial (>= 2 variables, integer coefficients).
+    MultivariatePolynomial (>= 2 variables), whose constructor refuses
+    rational coefficients and negative exponents with DomainError.
 
     Multivariate variables that do not cancel are ordered alphabetically;
     substitution exponent vectors follow that order.
@@ -217,18 +218,9 @@ def parse_polynomial(text: str):
     if len(used) <= 1:      # every other exponent is 0
         return LaurentPolynomial({sum(key): c for key, c in generic.items()},
                                  parser.variables[used[0]] if used else "t")
-    variables = [parser.variables[i] for i in used]
-    terms = {}
-    for key, c in generic.items():
-        if c.denominator != 1:
-            raise DomainError(
-                "multivariate polynomials require integer coefficients")
-        vec = tuple(key[i] for i in used)
-        if any(e < 0 for e in vec):
-            raise DomainError(
-                "multivariate polynomials do not allow negative exponents")
-        terms[vec] = int(c)
-    return MultivariatePolynomial(variables, terms)
+    return MultivariatePolynomial(
+        [parser.variables[i] for i in used],
+        {tuple(key[i] for i in used): c for key, c in generic.items()})
 
 
 def parse_laurent(text: str) -> LaurentPolynomial:

@@ -5,8 +5,9 @@ coefficients; exponents may be negative and no zero coefficient is ever
 stored (the zero polynomial is the empty map).  A MultivariatePolynomial
 has integer coefficients, non-negative exponent vectors of fixed arity,
 and exists to hold multivariable link polynomials before substitution
-collapses them to one variable.  One printer, _format_terms, serves both
-classes: a Laurent polynomial hands it its terms as 1-vectors.
+collapses them to one variable (_substitute).  One printer,
+_format_terms, serves both classes: a Laurent polynomial hands it its
+terms as 1-vectors.
 
 squarefree_split and LaurentPolynomial.gcd run over Z on primitive integer
 coefficient lists, with the list helpers at the end of this module, which
@@ -179,7 +180,8 @@ class LaurentPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.variable, tuple(sorted(self.terms.items()))))
+        # no variable: __eq__ compares terms only, so x + 1 == t + 1
+        return hash(tuple(sorted(self.terms.items())))
 
     def __call__(self, x):
         """Evaluate at x (exactly for int/Fraction, numerically otherwise)."""
@@ -199,13 +201,6 @@ class LaurentPolynomial:
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by variable**k."""
         return LaurentPolynomial({e + k: c for e, c in self.terms.items()},
-                                 self.variable)
-
-    def compose_power(self, k: int) -> "LaurentPolynomial":
-        """Substitute variable -> variable**k (k may be negative, not 0)."""
-        if k == 0:
-            raise DomainError("substituting t -> t^0 does not preserve the ring")
-        return LaurentPolynomial({e * k: c for e, c in self.terms.items()},
                                  self.variable)
 
     # -- division -----------------------------------------------------
@@ -228,7 +223,8 @@ class LaurentPolynomial:
 
 
 class MultivariatePolynomial:
-    """Integer-coefficient polynomial in several variables."""
+    """Integer-coefficient polynomial in several variables, whose
+    constructor is the one check of multivariate input."""
 
     __slots__ = ("variables", "terms")
 
@@ -243,9 +239,12 @@ class MultivariatePolynomial:
                     f"exponent vector {exps} does not match arity {arity}")
             if any(e < 0 for e in exps):
                 raise DomainError("multivariate exponents must be non-negative")
-            c = int(c)
-            if c != 0:
-                clean[exps] = c
+            c = _coerce(c)
+            if c.denominator != 1:
+                raise DomainError(
+                    "multivariate polynomials require integer coefficients")
+            if c:
+                clean[exps] = c.numerator
         self.terms = clean
 
     @property
@@ -319,6 +318,32 @@ def normalize(f: LaurentPolynomial) -> LaurentPolynomial:
     if g.leading_coefficient < 0:
         g = -g
     return g
+
+
+def normalize_integral(f: LaurentPolynomial) -> LaurentPolynomial:
+    """normalize(f) for the computations that need integer coefficients,
+    all but the Mahler measures; a rational one is a DomainError."""
+    f = normalize(f)
+    if not f.is_integral:
+        raise DomainError("polynomial does not have integer coefficients")
+    return f
+
+
+def _substitute(delta, exponents=None) -> LaurentPolynomial:
+    """The polynomial of a link's Z-cover: delta with variable i replaced
+    by t^exponents[i], so f(t^k) for a one-variable delta, which alone may
+    come without exponents.  A vector of the wrong length, or t -> t^0, is
+    a DomainError."""
+    if isinstance(delta, MultivariatePolynomial):
+        return delta.substitute(() if exponents is None else exponents)
+    if exponents is None:
+        return delta
+    k = int(exponents[0]) if len(exponents) == 1 else 0
+    if not k:
+        raise DomainError(f"exponents {list(exponents)} do not fit arity 1 "
+                          f"(t -> t^k, k != 0)")
+    return LaurentPolynomial({e * k: c for e, c in delta.terms.items()},
+                             delta.variable)
 
 
 def content_and_primitive(f: LaurentPolynomial):

@@ -31,12 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    PrecisionError,
-    ZeroPolynomialError,
-)
+from .errors import ConvergenceError, DomainError, PrecisionError
 from .ntheory import check_prime, modinv, vp_int
 from .padics import PadicNumber, hensel_lift, padic_log, padic_log_of_int
 from .polynomials import (
@@ -44,7 +39,7 @@ from .polynomials import (
     _derivative,
     _horner,
     _split_t_minus_one,
-    normalize,
+    normalize_integral,
 )
 from .resultants import cyclic_resultant, cyclic_resultant_sweep
 from .valuations import NewtonPolygon
@@ -77,19 +72,14 @@ def pure_measure_defined(f: LaurentPolynomial, p: int) -> bool:
     """True iff f has no root with |z|_p = 1: no polygon segment of slope
     zero.  (Every valuation-zero root of a nonzero polynomial lies on the
     unit circle, so the polygon test is decisive.)"""
-    check_prime(p)
-    if f.is_zero:
-        raise ZeroPolynomialError("definedness of the zero polynomial")
     return not NewtonPolygon.of(f, p).has_zero_slope()
 
 
-def _defined_integral(f, p, what):
-    """The normalization of f, after the checks that open every purely
-    p-adic route: f nonzero, integral, and with no root on |z|_p = 1."""
+def _defined_integral(f, p):
+    """normalize_integral(f), after the check that opens every purely
+    p-adic route: no root on |z|_p = 1."""
     check_prime(p)
-    f = normalize(f)
-    if not f.is_integral:
-        raise DomainError(f"{what} requires integer coefficients")
+    f = normalize_integral(f)
     if not pure_measure_defined(f, p):
         raise DomainError(
             f"roots on the {p}-adic unit circle: the purely {p}-adic "
@@ -139,7 +129,7 @@ def pure_log_mahler_estimate(f: LaurentPolynomial, p: int,
     """(1/n) log_p R(f, t^n - 1) over the trailing STABILIZATION_WINDOW
     n <= n_budget coprime to p, with p-adic stabilization over that window
     declaring the certified digits; no other n is evaluated."""
-    f = _defined_integral(f, p, "estimator")
+    f = _defined_integral(f, p)
     value, certified, window_n, _ = _stabilized_window(f, p, n_budget,
                                                        precision)
     return PurePadicResult(
@@ -189,7 +179,7 @@ def pure_log_mahler_closed_form(f: LaurentPolynomial, p: int,
     distinct linear factors over F_p^*; otherwise, when all roots lie
     outside the unit disk, through the coefficient-ratio norm shortcut;
     otherwise refused with the first unliftable segment's reason."""
-    f = _defined_integral(f, p, "closed form")
+    f = _defined_integral(f, p)
     if precision < 1:
         raise PrecisionError("precision must be at least 1 digit")
     polygon = NewtonPolygon.of(f, p)
@@ -249,7 +239,7 @@ def pure_entropy(f: LaurentPolynomial, p: int, n_budget: int = 120,
     reading.  Agreement with the closed-form measure is asserted whenever
     the closed form applies.
     """
-    f_norm = normalize(f)
+    f_norm = normalize_integral(f)
     if f_norm.leading_coefficient != 1 and not solenoid_convention:
         raise DomainError(
             "f is not monic; pass solenoid_convention=True to use the "
@@ -277,7 +267,7 @@ def pure_link_growth(A: LaurentPolynomial, d: int, p: int,
     check_prime(p)
     if d < 1:
         raise DomainError("component count d must be >= 1")
-    A = normalize(A)
+    A = normalize_integral(A)
     m, c = _split_t_minus_one(A.coefficients_ascending())
     if m < d - 1:
         raise DomainError(
@@ -285,8 +275,7 @@ def pure_link_growth(A: LaurentPolynomial, d: int, p: int,
     if m > d - 1:
         raise DomainError(
             f"(t-1)-multiplicity of A exceeds d-1 = {d - 1}; H(1) = 0")
-    H = _defined_integral(LaurentPolynomial(dict(enumerate(c)), A.variable),
-                          p, "growth")
+    H = _defined_integral(LaurentPolynomial(dict(enumerate(c)), A.variable), p)
     h1 = abs(int(H(1)))
     # the growth number |R(A, nu_n)| |H(1)| / n^(d-1) is |R(H, t^n - 1)|,
     # so one sequence serves the growth limit and the measure of H, and

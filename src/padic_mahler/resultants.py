@@ -39,6 +39,7 @@ from .polynomials import (
     _split_t_minus_one,
     all_ones_polynomial,
     normalize,
+    normalize_integral,
     power_minus_one,
 )
 
@@ -178,15 +179,6 @@ def berkowitz_determinant_mod(A, mod: int) -> int:
 # -- cyclic resultants -----------------------------------------------------
 
 
-def _integer_coefficients(f: LaurentPolynomial):
-    """Ascending integer coefficients of the normalization of a nonzero
-    integral input."""
-    f = normalize(f)
-    if not f.is_integral:
-        raise DomainError("cyclic resultants require integer coefficients")
-    return f.integer_coefficients_ascending()
-
-
 def _check_variant(variant: str):
     if variant not in ("ones", "full"):
         raise DomainError(f"unknown cyclic resultant variant {variant!r}")
@@ -206,7 +198,7 @@ def cyclic_resultant(f: LaurentPolynomial, n: int, variant: str = "ones") -> int
     if n < 1:
         raise DomainError("need n >= 1")
     _check_variant(variant)
-    coeffs = _integer_coefficients(f)
+    coeffs = normalize_integral(f).integer_coefficients_ascending()
     scale = (-1) ** (len(coeffs) - 1) * sum(coeffs) if variant == "full" else 1
     F, a = _scaled_monic(coeffs)
     if len(F) == 1:
@@ -246,7 +238,8 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     ns = list(ns)
     if any(n <= prev for prev, n in zip([0, *ns], ns)):
         raise DomainError("sweep needs strictly increasing positive n")
-    m, g = _split_t_minus_one(_integer_coefficients(f))
+    m, g = _split_t_minus_one(
+        normalize_integral(f).integer_coefficients_ascending())
     F, a = _scaled_monic(g)
     e, q = len(g) - 1, F[-2::-1]    # q_j: the coefficient of x^(e - j) in F
     wanted = {j * n for n in ns for j in range(1, e + 1)}
@@ -320,7 +313,7 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, ns, p: int):
     check_prime(p)
     if not ns or min(ns) < 1 or any(b % a for a, b in zip(ns, ns[1:])):
         raise DomainError("need a divisor chain of n >= 1")
-    coeffs = _integer_coefficients(f)
+    coeffs = normalize_integral(f).integer_coefficients_ascending()
     mu = min(vp_int(c, p) for c in coeffs if c)
     coeffs = [c // p**mu for c in coeffs]
     units = [i for i, c in enumerate(coeffs) if c % p]

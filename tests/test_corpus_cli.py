@@ -103,6 +103,34 @@ class TestCorpus:
             load_corpus(bad)
         assert "X" in str(err.value)
 
+    @pytest.mark.parametrize("delta, exponents", [
+        ("1 + x*y", [1]),
+        ("1 + x*y", [1, 1, 1]),
+        ("t - 2", [1, 1]),
+    ])
+    def test_substitution_arity_reports_record(self, tmp_path, delta,
+                                               exponents):
+        bad = tmp_path / "corpus.json"
+        bad.write_text(json.dumps({
+            "schema_version": 1,
+            "records": [{"name": "X", "components": 1, "delta": delta,
+                         "substitutions": [{"label": "s",
+                                            "exponents": exponents}],
+                         "claims": []}]}))
+        with pytest.raises(DomainError, match="record X: .*arity"):
+            load_corpus(bad)
+
+    def test_one_variable_delta_is_substituted(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "records": [{"name": "K", "components": 1, "delta": "t - 2",
+                         "substitutions": [{"label": "(t^3)",
+                                            "exponents": [3]}],
+                         "claims": []}]}))
+        [record] = load_corpus(path)
+        assert record.derived_reduced("(t^3)") == parse_laurent("t^3 - 2")
+
     def test_failing_paper_claim_sets_exit_status(self, tmp_path):
         wrong = tmp_path / "corpus.json"
         wrong.write_text(json.dumps({
@@ -223,6 +251,8 @@ EXIT_CODE_CASES = [
       "--precision", "1"], 5),
     (["homology", "--poly", "t^2-3*t+1", "--n", "3", "--components", "0"], 4),
     (["mahler", "--delta", "x*y-x-y+1", "--subs", "1,1,1"], 4),
+    (["homology", "--delta", "t-2", "--subs", "1,1", "--n", "3"], 4),
+    (["homology", "--delta", "1/2*x+y", "--subs", "1,1", "--n", "3"], 4),
     # rational coefficients: only the Mahler measures take them
     (["iwasawa", "--poly", "1/2*t+1", "--prime", "3"], 4),
     (["mp", "--poly", "1/2*t+1", "--prime", "3"], 4),
@@ -322,6 +352,14 @@ class TestCli:
     def test_homology(self, capsys):
         assert main(["homology", "--poly", "t^2-3*t+1", "--n", "2"]) == 0
         assert "= 5" in capsys.readouterr().out
+
+    def test_one_variable_delta_takes_subs(self, capsys):
+        # --subs 3 maps t -> t^3, as the corpus does, and is not ignored
+        assert main(["homology", "--delta", "t-2", "--subs", "3",
+                     "--n", "3"]) == 0
+        delta_out = capsys.readouterr().out
+        assert main(["homology", "--poly", "t^3-2", "--n", "3"]) == 0
+        assert delta_out == capsys.readouterr().out == "|H_1(M_3)| = 1\n"
 
     def test_growth_with_delta(self, capsys):
         assert main(["growth", "--delta", "2-x-y+2*x*y", "--subs", "1,-1",

@@ -5,7 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from padic_mahler.entropy import (
+    entropy_padic,
+    entropy_total,
+    leading_coeff_identity,
+)
 from padic_mahler.errors import DomainError, ParseError, ZeroPolynomialError
+from padic_mahler.iwasawa import (
+    fit_invariants,
+    lambda_invariant,
+    mu_invariant,
+    verify_consistency,
+)
+from padic_mahler.mahler import resultant_limit_estimate
 from padic_mahler.parsing import _Parser, parse_laurent, parse_polynomial
 from padic_mahler.polynomials import (
     LaurentPolynomial,
@@ -17,6 +29,13 @@ from padic_mahler.polynomials import (
     normalize,
     squarefree_split,
 )
+from padic_mahler.pure import (
+    pure_entropy,
+    pure_link_growth,
+    pure_log_mahler_closed_form,
+    pure_log_mahler_estimate,
+)
+from padic_mahler.resultants import cyclic_resultant, cyclic_resultant_valuation
 
 
 class TestParsing:
@@ -57,6 +76,12 @@ class TestParsing:
         assert isinstance(m, LaurentPolynomial) and m.variable == "x"
         assert m.terms == {3: 1}
 
+    def test_equal_polynomials_hash_equal(self):
+        # equality ignores the variable name, so the hash must too
+        f, g = parse_laurent("x + 1"), parse_laurent("t + 1")
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+
     def test_unary_signs(self):
         assert parse_polynomial("- -t").terms == {1: 1}
         m = parse_polynomial("-(x+y)^2*z")
@@ -91,6 +116,15 @@ class TestParsing:
     def test_multivariate_needs_integer_coefficients(self):
         with pytest.raises(DomainError):
             parse_polynomial("1/2*x*y")
+
+    def test_multivariate_constructor_checks_coefficients(self):
+        # the constructor is the one multivariate check: 1/2 and 2.7 are
+        # refused, not truncated to 0 and 2
+        with pytest.raises(DomainError, match="integer coefficients"):
+            MultivariatePolynomial(("x", "y"),
+                                   {(1, 0): Fraction(1, 2), (0, 1): 3})
+        with pytest.raises(TypeError):
+            MultivariatePolynomial(("x", "y"), {(1, 0): 2.7})
 
     def test_multivariate_rejects_negative_exponents(self):
         with pytest.raises(DomainError):
@@ -172,6 +206,41 @@ class TestNormalize:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             normalize(LaurentPolynomial.zero())
+
+
+# every public entry that needs integer coefficients, called on f; each
+# goes through normalize_integral, so it refuses 1/2*t + 1 and takes f
+# and the unit multiple -t^3 f alike
+INTEGRAL_ENTRIES = {
+    "cyclic_resultant": lambda f: cyclic_resultant(f, 5),
+    "cyclic_resultant_valuation":
+        lambda f: cyclic_resultant_valuation(f, [2, 4, 8], 2),
+    "resultant_limit_estimate":
+        lambda f: resultant_limit_estimate(f, 2, n_max=12),
+    "mu_invariant": lambda f: mu_invariant(f, 2),
+    "lambda_invariant": lambda f: lambda_invariant(f, 2),
+    "fit_invariants": lambda f: fit_invariants(f, 2, 4),
+    "verify_consistency": lambda f: verify_consistency(f, 2, 4),
+    "entropy_padic": lambda f: entropy_padic(f, 2),
+    "leading_coeff_identity": leading_coeff_identity,
+    "entropy_total": entropy_total,
+    "pure_log_mahler_estimate":
+        lambda f: pure_log_mahler_estimate(f, 2, 20, 12),
+    "pure_log_mahler_closed_form":
+        lambda f: pure_log_mahler_closed_form(f, 2, 12),
+    "pure_entropy": lambda f: pure_entropy(f, 2, 20, 12,
+                                           solenoid_convention=True),
+    "pure_link_growth": lambda f: pure_link_growth(f, 1, 2, 20, 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_ENTRIES))
+def test_integral_entries(name):
+    entry = INTEGRAL_ENTRIES[name]
+    with pytest.raises(DomainError):
+        entry(parse_laurent("1/2*t + 1"))
+    f = parse_laurent("2*t^2 - 3*t + 2")
+    assert entry(f) == entry(LaurentPolynomial({3: -1}) * f)
 
 
 class TestContent:
