@@ -13,10 +13,12 @@ input it is given.
 
 The tower is one call of resultants.cyclic_resultant_valuation on the
 chain p, p^2, ..., p^r_max: e_r = (p^r - 1) * mu + v_p R(A0, nu_{p^r}),
-with A0 the unit-root factor of A / p^mu, lifted once.  The mu*p^r term is
-that (n - 1) * mu term (its -mu lands in nu), and lambda*r + nu comes from
-A0 alone, walked up by p-th powers: nu_{p^(r+1)}(C) = nu_p(C^(p^r))
-nu_{p^r}(C) for the companion matrix C of A0.
+with A0 the unit-root factor of A / p^mu mod p^K; K = 16 doubles until
+each step's valuation is certified strictly below K - 1, and a tower is
+refused past (deg A0 + 2)(bits(p^r_max) + 8) + 32 times 2^7.  The mu*p^r
+term is that (n - 1) * mu term (its -mu lands in nu), and lambda*r + nu
+comes from A0 alone, walked up by p-th powers: nu_{p^(r+1)}(C) =
+nu_p(C^(p^r)) nu_{p^r}(C) for the companion matrix C of A0.
 """
 
 from __future__ import annotations

@@ -180,8 +180,10 @@ class LaurentPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        # no variable: __eq__ compares terms only, so x + 1 == t + 1
-        return hash(tuple(sorted(self.terms.items())))
+        # no variable, as __eq__ compares terms only (x + 1 == t + 1), and a
+        # constant hashes as the value it equals
+        return hash(self.terms.get(0, 0) if self.is_constant
+                    else tuple(sorted(self.terms.items())))
 
     def __call__(self, x):
         """Evaluate at x (exactly for int/Fraction, numerically otherwise)."""
@@ -233,7 +235,7 @@ class MultivariatePolynomial:
         arity = len(self.variables)
         clean = {}
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = _integer_exponents(exps)
             if len(exps) != arity:
                 raise DomainError(
                     f"exponent vector {exps} does not match arity {arity}")
@@ -257,7 +259,7 @@ class MultivariatePolynomial:
 
     def substitute(self, exponents) -> LaurentPolynomial:
         """Replace variable i by t**exponents[i]."""
-        exponents = tuple(int(e) for e in exponents)
+        exponents = _integer_exponents(exponents)
         if len(exponents) != self.arity:
             raise DomainError(
                 f"{len(exponents)} exponents given for arity {self.arity}")
@@ -280,6 +282,13 @@ class MultivariatePolynomial:
 
     def __repr__(self):
         return f"MultivariatePolynomial({self})"
+
+
+def _integer_exponents(exponents) -> tuple:
+    """The exponents, each an int: 1.5 is refused, not truncated."""
+    if not all(isinstance(e, int) for e in exponents):
+        raise DomainError(f"exponents {list(exponents)} must be integers")
+    return tuple(exponents)
 
 
 def _format_terms(terms, variables) -> str:
@@ -338,7 +347,7 @@ def _substitute(delta, exponents=None) -> LaurentPolynomial:
         return delta.substitute(() if exponents is None else exponents)
     if exponents is None:
         return delta
-    k = int(exponents[0]) if len(exponents) == 1 else 0
+    k = _integer_exponents(exponents)[0] if len(exponents) == 1 else 0
     if not k:
         raise DomainError(f"exponents {list(exponents)} do not fit arity 1 "
                           f"(t -> t^k, k != 0)")

@@ -17,7 +17,9 @@ the determinant of the Sylvester matrix.  Three routes are kept:
   the roots of F by Newton's identities and takes no determinant.
 
 The three agree, and the test suite checks that they do.  Modulo p^K,
-cyclic_resultant_valuation takes Berkowitz determinants instead.
+cyclic_resultant_valuation takes Berkowitz determinants, K = 16 doubling
+until each step's valuation is certified strictly below K - 1 (refused
+past K = (d0 + 2)(bits(n_max) + 8) + 32 times 2^7, d0 = deg f0).
 
 Conventions: R(0, g) = 0 and R(c, g) = c^deg(g) for constants, so
 R(1, g) = 1.  Laurent inputs are normalized (min exponent 0, positive
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from operator import mul
 
 from .errors import ConvergenceError, DomainError
 from .ntheory import check_prime, vp_int
@@ -150,30 +153,18 @@ def _multiplication_matrix(h, F, mod=None):
 
 def berkowitz_determinant_mod(A, mod: int) -> int:
     """Division-free determinant of a square matrix over Z/mod."""
-    n = len(A)
-    if n == 0:
-        return 1 % mod
-    poly = [1, (-A[0][0]) % mod]
-    for i in range(1, n):
-        R = A[i][:i]
-        S = [A[k][i] for k in range(i)]
-        M = [row[:i] for row in A[:i]]
-        q = [1, (-A[i][i]) % mod]
-        vec = S
-        for _ in range(i):
-            q.append((-sum(r * v for r, v in zip(R, vec))) % mod)
-            vec = [sum(M[r][c] * vec[c] for c in range(i)) % mod
-                   for r in range(i)]
-        new = [0] * (i + 2)
-        for k in range(i + 2):
-            acc = 0
-            for j in range(len(poly)):
-                if 0 <= k - j < len(q):
-                    acc += q[k - j] * poly[j]
-            new[k] = acc % mod
-        poly = new
-    det = poly[n] if n % 2 == 0 else -poly[n]
-    return det % mod
+    n, poly = len(A), [1]
+    for i in range(n):
+        # q_(k+2) = -R M^k S, R and S the row and column meeting A[i][i]
+        # and M the leading i x i block; map() stops at len(vec) = i
+        row, vec = A[i], [A[k][i] for k in range(i)]
+        q = [1, -row[i]]
+        for k in range(i):
+            q.append(-sum(map(mul, row, vec)) % mod)
+            if k < i - 1:
+                vec = [sum(map(mul, r, vec)) % mod for r in A[:i]]
+        poly = [sum(map(mul, q[k::-1], poly)) % mod for k in range(i + 2)]
+    return (-1) ** n * poly[n] % mod
 
 
 # -- cyclic resultants -----------------------------------------------------
@@ -301,14 +292,13 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, ns, p: int):
     (n - 1) * mu.  In a p-power tower, n = p^r, this is the mu * p^r term
     of the Iwasawa formula.
 
-    f0 is lifted once, modulo one p^K sized by the largest n (not by mu or
-    the leading coefficient).  With C its companion matrix, R(f0, nu_n) =
-    det nu_n(C); as nu_(qm)(t) = nu_q(t^m) nu_m(t) and det is
-    multiplicative, the step from m to qm adds v_p det nu_q(C^m), taken on
-    the multiplication matrix of the residue nu_q(t^m) modulo f0 and p^K.  A
-    nonzero residue certifies its valuation; if one vanishes, K doubles
-    for the whole chain (the resultants must be nonzero, which callers
-    guarantee by excluding n-th roots of unity among the roots).
+    With C the companion matrix of f0 mod p^K, R(f0, nu_n) = det nu_n(C);
+    as nu_(qm)(t) = nu_q(t^m) nu_m(t), the step from m to qm adds v_p det
+    nu_q(C^m), on the multiplication matrix of nu_q(t^m) modulo f0 and p^K.
+    K = 16, 32, .. doubles for the whole chain until every step's
+    determinant is nonzero of valuation below K - 1; the last K tried is
+    (d0 + 2)(bits(ns[-1]) + 8) + 32 times 2^7, d0 = deg f0.  So a zero
+    resultant is a ConvergenceError (callers exclude n-th roots of unity).
     """
     check_prime(p)
     if not ns or min(ns) < 1 or any(b % a for a, b in zip(ns, ns[1:])):
@@ -320,8 +310,8 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, ns, p: int):
     d0 = units[-1] - units[0]
     if d0 == 0:  # no unit roots: R(f0, nu_n) = 1
         return [(n - 1) * mu for n in ns]
-    K = (d0 + 2) * (ns[-1].bit_length() + 8) + 32
-    for _ in range(8):
+    cap = ((d0 + 2) * (ns[-1].bit_length() + 8) + 32) << 7
+    for K in [1 << k for k in range(4, (cap - 1).bit_length())] + [cap]:
         mod = p**K
         f0 = _unit_root_factor(coeffs, p, K)
         P, out, v = [0, 1], [], 0
@@ -335,6 +325,5 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, ns, p: int):
             out.append((n - 1) * mu + v)
         else:
             return out
-        K *= 2
     raise ConvergenceError(
         "could not certify the resultant valuation; is R(f, nu_n) zero?")

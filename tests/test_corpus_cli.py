@@ -182,6 +182,21 @@ class TestCorpus:
         assert main(["verify-corpus", "--corpus", str(path)]) == 4
         assert "nodelta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta, exponents", [
+        ("2 - x - y + 2*x*y", [1.5, 1]), ("t - 2", [2.9])])
+    def test_non_integer_exponent_is_a_domain_error(self, tmp_path, capsys,
+                                                    delta, exponents):
+        # refused at load, not truncated to an integer exponent
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "records": [{"name": "fractional", "components": 1,
+                         "delta": delta, "claims": [],
+                         "substitutions": [{"label": "(t)",
+                                            "exponents": exponents}]}]}))
+        assert main(["verify-corpus", "--corpus", str(path)]) == 4
+        assert "must be integers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, problem", [
         (b"{", "not valid JSON"),
         (b"\xff", "not valid JSON"),

@@ -24,6 +24,7 @@ from padic_mahler.polynomials import (
     MultivariatePolynomial,
     _derivative,
     _split_t_minus_one,
+    _substitute,
     all_ones_polynomial,
     content_and_primitive,
     normalize,
@@ -82,6 +83,14 @@ class TestParsing:
         assert f == g and hash(f) == hash(g)
         assert len({f, g}) == 1
 
+    @pytest.mark.parametrize("value", [3, -7, 0, Fraction(5, 2)])
+    def test_constant_hashes_as_its_value(self, value):
+        # a constant compares equal to its int or Fraction value
+        c = LaurentPolynomial.constant(value, "x")
+        assert c == value and hash(c) == hash(value)
+        assert len({c, value}) == 1
+        assert {value: "v"}[c] == "v"
+
     def test_unary_signs(self):
         assert parse_polynomial("- -t").terms == {1: 1}
         m = parse_polynomial("-(x+y)^2*z")
@@ -125,6 +134,12 @@ class TestParsing:
                                    {(1, 0): Fraction(1, 2), (0, 1): 3})
         with pytest.raises(TypeError):
             MultivariatePolynomial(("x", "y"), {(1, 0): 2.7})
+
+    @pytest.mark.parametrize("exps", [(1.5, 0), (Fraction(1), 1), (1, 2.0)])
+    def test_multivariate_refuses_non_integer_exponents(self, exps):
+        # refused, not truncated by int() to (1, 0) or (1, 2)
+        with pytest.raises(DomainError, match="must be integers"):
+            MultivariatePolynomial(("x", "y"), {exps: 1})
 
     def test_multivariate_rejects_negative_exponents(self):
         with pytest.raises(DomainError):
@@ -271,6 +286,18 @@ class TestSubstitution:
     def test_plain(self):
         delta = parse_polynomial("1 + x*y")
         assert delta.substitute((1, 1)) == parse_laurent("1 + t^2")
+
+    @pytest.mark.parametrize("exps", [(1.5, 1), (1, Fraction(1)), (2.0, 1)])
+    def test_non_integer_exponents_refused(self, exps):
+        # (1.5, 1) used to be truncated to (1, 1), giving t^2 + 1
+        with pytest.raises(DomainError, match="must be integers"):
+            parse_polynomial("1 + x*y").substitute(exps)
+
+    @pytest.mark.parametrize("k", [2.9, Fraction(2), 1.0])
+    def test_one_variable_non_integer_exponent_refused(self, k):
+        # t -> t^2.9 used to be truncated to t -> t^2
+        with pytest.raises(DomainError, match="must be integers"):
+            _substitute(parse_laurent("t-2"), (k,))
 
     def test_arity_mismatch(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,11 @@ from fractions import Fraction
 import pytest
 
 from padic_mahler import resultants
-from padic_mahler.errors import DomainError, ZeroPolynomialError
+from padic_mahler.errors import (
+    ConvergenceError,
+    DomainError,
+    ZeroPolynomialError,
+)
 from padic_mahler.ntheory import vp_int
 from padic_mahler.parsing import parse_laurent
 from padic_mahler.polynomials import LaurentPolynomial, normalize
@@ -404,3 +408,99 @@ class TestValuationPath:
             if exact == 0:
                 continue
             assert cyclic_resultant_valuation(f, [n], p)[0] == vp_int(exact, p)
+
+
+def random_chain_case(rng):
+    """(f, p, ns): f of degree 1..6 in one of the tower classes (p prime to
+    both ends, p | lead, p at both ends, p | content) and a divisor chain
+    ns of length 1..4 with n <= 500."""
+    p = rng.choice([2, 3, 5])
+    cls = rng.choice(["unit", "lead", "both", "content"])
+    d = rng.randint(1, 6)
+    units = [u for u in range(-9, 10) if u % p]
+    c = [rng.randint(-9, 9) for _ in range(d + 1)]
+    c[0], c[d] = rng.choice(units), rng.choice(units)
+    if cls in ("lead", "both"):
+        c[d] *= p ** rng.randint(1, 2)
+    if cls == "both":
+        c[0] *= p
+    if cls == "content":
+        c = [p * x for x in c]
+    ns = [rng.randint(1, 4)]
+    for _ in range(rng.randint(0, 3)):
+        ns.append(ns[-1] * rng.choice([2, 3, p]))
+    return LaurentPolynomial(dict(enumerate(c))), p, ns
+
+
+def chain_mismatches(seed, count):
+    """The random chains on which cyclic_resultant_valuation disagrees with
+    v_p of the exact cyclic_resultant, or fails to refuse a chain that
+    reaches a zero resultant."""
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(count):
+        f, p, ns = random_chain_case(rng)
+        exact = [cyclic_resultant(f, n) for n in ns]
+        try:
+            got = cyclic_resultant_valuation(f, ns, p)
+        except ConvergenceError:
+            got = None
+        want = None if 0 in exact else [vp_int(e, p) for e in exact]
+        if got != want:
+            bad.append((str(f), p, ns, got, want))
+    return bad
+
+
+class TestValuationModulus:
+    """K starts at 16 and doubles for the whole chain while a step's
+    determinant is 0 mod p^K or has valuation >= K - 1; the last modulus
+    tried is (d0 + 2) (bits(n_max) + 8) + 32 times 2^7."""
+
+    @pytest.fixture
+    def moduli(self, monkeypatch):
+        Ks = []
+        real = resultants._unit_root_factor
+
+        def spy(coeffs, p, K):
+            Ks.append(K)
+            return real(coeffs, p, K)
+
+        monkeypatch.setattr(resultants, "_unit_root_factor", spy)
+        return Ks
+
+    @pytest.mark.parametrize("text, ns, want, Ks", [
+        # t + 1 + 2^20: v_2 nu_(2^r)(-1 - 2^20) = 19 + r
+        ("t + 1048577", [2**r for r in range(1, 7)], list(range(20, 26)),
+         [16, 32]),
+        # the step from n = 2 to 4 has valuation 80
+        ("t^2 + 2^40*t + 1", [2**r for r in range(1, 9)],
+         [1, 81, 83, 85, 87, 89, 91, 93], [16, 32, 64, 128]),
+        ("t + 1 + 2^3000", [2, 4], [3000, 3001],
+         [16 << k for k in range(9)]),
+    ])
+    def test_doubles_until_certified(self, moduli, text, ns, want, Ks):
+        f = parse_laurent(text)
+        got = cyclic_resultant_valuation(f, ns, 2)
+        assert got == want == [vp_int(cyclic_resultant(f, n), 2) for n in ns]
+        assert moduli == Ks
+
+    def test_refusal_bound(self, moduli):
+        # d0 = 1, n_max = 4: the cap is (3 * 11 + 32) * 2^7 = 8320, so a
+        # step of valuation 8318 = cap - 2 is certified and 8319 is not
+        cap = [16 << k for k in range(10)] + [8320]
+        f = parse_laurent("t + 1 + 2^8318")
+        assert cyclic_resultant_valuation(f, [2, 4], 2) == [8318, 8319]
+        assert moduli == cap
+        moduli.clear()
+        with pytest.raises(ConvergenceError):
+            cyclic_resultant_valuation(parse_laurent("t + 1 + 2^8319"),
+                                       [2, 4], 2)
+        assert moduli == cap
+
+    def test_zero_resultant_refused(self):
+        # t = -1 is a root of nu_2: R(t + 1, nu_n) = 0 for every even n
+        with pytest.raises(ConvergenceError):
+            cyclic_resultant_valuation(parse_laurent("t + 1"), [1, 2, 4], 2)
+
+    def test_random_chains_match_exact_resultants(self):
+        assert chain_mismatches(seed=181, count=300) == []
