@@ -64,15 +64,16 @@ class LogMeasure:
 
 def _root_contributions(centres, radii, bits):
     """(sum of log max(|z|,1), certified error bound, float roundings in
-    the sum) for the roots z = (x + iy) / 2^bits of the exact centres
-    (x, y), each in a disk of its float radius.  (None, inf, 0) unless the
-    disks are bounded and pairwise disjoint, since only then does each hold
-    exactly one root.  A disk inside |z| <= 1 adds exactly 0; any other
-    adds log|z| = log1p(|z|^2 - 1) / 2, with |z|^2 - 1 exact, and the error
-    term b / max(|z| - b, 1) rounded upward, which bounds how far
+    the sum, silent) for the roots z = (x + iy) / 2^bits of the exact
+    centres (x, y), each in a disk of its float radius.  The sum is None
+    and the bound inf unless the disks are bounded and pairwise disjoint,
+    since only then does each hold exactly one root.  A disk inside
+    |z| <= 1 adds exactly 0 (silent marks those that meet no other disk);
+    any other adds log|z| = log1p(|z|^2 - 1) / 2, with |z|^2 - 1 exact, and
+    the error term b / max(|z| - b, 1) rounded upward, which bounds how far
     log max(|w|, 1) strays from log max(|z|, 1) for |w - z| <= b."""
     if not all(math.isfinite(b) for b in radii):
-        return None, math.inf, 0
+        return None, math.inf, 0, [False] * len(radii)
     # work on a grid 2^64 times finer than the centres' and round each
     # radius up onto it
     bits += 64
@@ -84,6 +85,7 @@ def _root_contributions(centres, radii, bits):
     # radii are disjoint, and so is every disk beyond them
     order = sorted(range(len(centres)), key=lambda k: centres[k][0])
     widest = max(rad)
+    alone = [True] * len(centres)
     for pos, j in enumerate(order):
         xj, yj = centres[j]
         for k in order[pos + 1:]:
@@ -91,12 +93,14 @@ def _root_contributions(centres, radii, bits):
             if xk - xj > rad[j] + widest:
                 break
             if (xk - xj) ** 2 + (yk - yj) ** 2 <= (rad[j] + rad[k]) ** 2:
-                return None, math.inf, 0
-    total, terms = 0.0, []
-    for (x, y), b in zip(centres, rad):
+                alone[j] = alone[k] = False
+    total, terms, silent = 0.0, [], []
+    for (x, y), b, single in zip(centres, rad, alone):
         norm = x * x + y * y
         low = math.isqrt(norm)
-        if low + (low * low < norm) + b <= one:
+        inside = low + (low * low < norm) + b <= one
+        silent.append(single and inside)
+        if inside:
             continue
         excess = norm - one * one
         if excess > 0:
@@ -105,10 +109,12 @@ def _root_contributions(centres, radii, bits):
                             if excess.bit_length() < 1000 + 2 * bits
                             else math.log(norm >> 2 * bits))
         terms.append(math.nextafter(b / max(low - b, one), math.inf))
+    if not all(alone):
+        return None, math.inf, 0, silent
     # each log: the quotient, log1p and the sum; fsum of the rounded-up
     # terms is off by at most half an ulp, so one more ulp covers it
     return (total, math.nextafter(math.fsum(terms), math.inf),
-            3 * len(terms))
+            3 * len(terms), silent)
 
 
 def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
@@ -121,8 +127,9 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     roots are polished (Newton with Aberth's repulsion) on the primitive
     integer coefficients of a_i in fixed point, at POLISH_BITS bits more
     than the share asks for, the bits doubling while the disks overlap or
-    miss the share, up to POLISH_BITS_CAP; their radii are exact residual
-    bounds.  The error
+    miss the share, up to POLISH_BITS_CAP; their radii bound the residual
+    radius from above.  A root silent in _root_contributions adds 0 and
+    keeps its disk, grown by the move onto the polish grid.  The error
     bound covers the root enclosures and, as a rounding allowance,
     (k + 1) ulp(M) for the k float roundings (each root log of a_i counted
     i times), M the largest magnitude among the logs and the partial sums;
@@ -155,17 +162,25 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
             raise ConvergenceError(
                 "a squarefree factor has coefficients beyond float64") from None
         centres, bits = dyadic(roots)
-        contrib, err, count = _root_contributions(centres, radii, bits)
         target = POLISH_BITS + max(0, -math.frexp(budget)[1])
-        while err > budget:
+        while True:
+            contrib, err, count, silent = _root_contributions(centres, radii,
+                                                              bits)
+            if err <= budget:
+                break
             if target > POLISH_BITS_CAP:
                 raise ConvergenceError(
                     "root finder could not certify the requested tolerance")
+            # the new grid moves a centre by < sqrt(2) of its units, which
+            # the radius of a kept root grows by 2 units to cover
             centres = [(x << target >> bits, y << target >> bits)
                        for x, y in centres]
+            radii = [math.nextafter(r + 2.0 ** (1 - target), math.inf)
+                     for r in radii]
             bits, target = target, 2 * target
-            centres, radii = polish_roots(_primitive(coeffs)[2], centres, bits)
-            contrib, err, count = _root_contributions(centres, radii, bits)
+            centres, polished = polish_roots(_primitive(coeffs)[2], centres,
+                                             bits, silent)
+            radii = [r if s is None else s for r, s in zip(radii, polished)]
         value += i * contrib
         error += i * err
         logs += i * count + 1

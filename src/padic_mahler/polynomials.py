@@ -23,6 +23,8 @@ from itertools import accumulate, zip_longest
 from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .ntheory import INFINITY
 
+HEU_GCD_TRIES = 6     # values of xi before _gcd's remainder sequence
+
 
 def _coerce(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -41,10 +43,11 @@ class LaurentPolynomial:
         self.variable = variable
         clean = {}
         if terms:
+            _integer_exponents(terms)
             for e, c in terms.items():
                 c = _coerce(c)
                 if c != 0:
-                    clean[int(e)] = c
+                    clean[e] = c
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -211,7 +214,7 @@ class LaurentPolynomial:
         """Monic gcd over the rationals of the shifted ordinary polynomials
         (0 when both are 0), computed over Z by _gcd."""
         return _monic(_gcd(*(_primitive(g.coefficients_ascending())[2]
-                             for g in (self, other))),
+                             for g in (self, other)))[0],
                       self._result_variable(other))
 
     # -- printing -----------------------------------------------------
@@ -385,8 +388,8 @@ def squarefree_split(f: LaurentPolynomial):
     Gerhard, Modern Computer Algebra, 14.6): pairs (a_i, i), i increasing,
     the a_i monic, squarefree, nonconstant and pairwise coprime, with
     normalize(f) = lead * prod a_i^i ([] for a constant f).  It runs on the
-    primitive part of f over Z, where the quotients by the primitive gcds
-    are exact by Gauss's lemma."""
+    primitive part of f over Z, and each step's quotients are the cofactors
+    that _gcd returns with the gcd."""
     if f.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no squarefree split")
     b = _primitive(f.coefficients_ascending())[2]
@@ -395,10 +398,7 @@ def squarefree_split(f: LaurentPolynomial):
     # b = prod_{j >= i} a_j and d = sum_{j > i} (j - i) a_j' b / a_j, so
     # gcd(b, d) = a_i
     while len(b) > 1:
-        a = _gcd(b, d)
-        (b, rb), (d, rd) = _poly_divmod(b, a), _poly_divmod(d, a)
-        if any(rb) or any(rd):
-            raise ConvergenceError("a primitive gcd left a remainder over Z")
+        a, b, d = _gcd(b, d)
         d = _poly_sub(d, _derivative(b))
         if i and len(a) > 1:
             pairs.append((_monic(a, f.variable), i))
@@ -499,15 +499,49 @@ def _primitive(coeffs):
 
 
 def _gcd(a, b):
-    """A primitive gcd over Z of reduced integer lists (zero for two zeros)
-    by the primitive Euclidean algorithm (Brown 1971): each pseudo-remainder
-    lead(b)^(deg a - deg b + 1) a mod b is replaced by its primitive part."""
-    if len(a) < len(b):
-        a, b = b, a
-    while any(b):
-        scale = b[-1] ** (len(a) - len(b) + 1)
-        a, b = b, _primitive(_poly_divmod([scale * x for x in a], b)[1])[2]
-    return _primitive(a)[2]
+    """(g, a / g, b / g) for reduced integer lists a and b, g a primitive
+    gcd over Z (a itself, cofactors [1] and [0], when b is zero), by GCDHEU
+    (Char, Geddes and Gonnet 1989) on the primitive parts.  At xi = 2^k >
+    2 min(|a|, |b|) + 2 (max norms; 8 more bits absorb small spurious
+    factors), g is the primitive part of gamma = gcd(a(xi), b(xi)) read in
+    symmetric xi-adic digits, and the cofactors are a(xi) / g(xi) and
+    b(xi) / g(xi) so read.  Exact products certify g: a further common
+    factor h, its roots those of a and b, would have |h(xi)| > xi / 2, more
+    than the digits' content leaves room for.  After HEU_GCD_TRIES values
+    of xi the primitive remainder sequence (Brown 1971) decides."""
+    if not any(a) or not any(b):
+        return (b, [0], [1]) if any(b) else (a, [1], [0])
+    if len(a) == 1 or len(b) == 1:     # a nonzero constant
+        return [1], a, b
+    (ca, _, a), (cb, _, b) = _primitive(a), _primitive(b)
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() + 8
+    for _ in range(HEU_GCD_TRIES):
+        va, vb = (sum(c << k * i for i, c in enumerate(p)) for p in (a, b))
+        gamma = math.gcd(va, vb)
+        content, _, g = _primitive(_digits(gamma, k))
+        fa, fb = (_digits(v * content // gamma, k) for v in (va, vb))
+        if _poly_mul(fa, g) == a and _poly_mul(fb, g) == b:
+            break
+        k += k // 2
+    else:   # each pseudo-remainder is replaced by its primitive part
+        u, v = (a, b) if len(a) >= len(b) else (b, a)
+        while any(v):
+            scale = v[-1] ** (len(u) - len(v) + 1)
+            u, v = v, _primitive(_poly_divmod([scale * x for x in u], v)[1])[2]
+        g = _primitive(u)[2]
+        (fa, ra), (fb, rb) = _poly_divmod(a, g), _poly_divmod(b, g)
+        if any(ra) or any(rb):
+            raise ConvergenceError("a primitive gcd left a remainder over Z")
+    return g, [ca * c for c in fa], [cb * c for c in fb]
+
+
+def _digits(v, k):
+    """The symmetric digits c of v = sum c_i 2^(k i), |c_i| <= 2^(k - 1)."""
+    out, half = [], 1 << k - 1
+    while v:
+        out.append(((v + half - 1) & (2 * half - 1)) - half + 1)
+        v = (v - out[-1]) >> k
+    return out
 
 
 def _monic(q, variable):

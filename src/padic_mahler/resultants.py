@@ -145,10 +145,13 @@ def _power_and_ones_sum(b, a, n, F, mod=None):
 
 def _multiplication_matrix(h, F, mod=None):
     """h(C), C the companion matrix of the monic F: the matrix of
-    multiplication by the residue h modulo F (and ``mod``), whose column j
-    is y^j h mod F."""
-    return [list(row) for row in zip(*(
-        _poly_mulmod([0] * j + [1], h, F, mod) for j in range(len(F) - 1)))]
+    multiplication by the residue h (d = deg F coefficients) modulo F (and
+    ``mod``), whose column j is y^j h mod F, y times column j - 1."""
+    cols, col = [], h
+    for _ in range(len(F) - 1):
+        cols.append(col if mod is None else [x % mod for x in col])
+        col = [x - cols[-1][-1] * f for x, f in zip([0, *cols[-1][:-1]], F)]
+    return [list(row) for row in zip(*cols)]
 
 
 def berkowitz_determinant_mod(A, mod: int) -> int:

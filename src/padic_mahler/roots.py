@@ -9,8 +9,10 @@ n * |f(z)| / |f'(z)|: a disk of that radius around z contains a root of f.
 In float64 the radius is an a-priori bound that absorbs the rounding of
 the evaluation.  When that cannot certify the caller's tolerance the roots
 are polished in fixed point on the exact integer coefficients: a centre is
-a dyadic point (x + iy) / 2^bits with x, y Python ints, and its radius is
-evaluated exactly at that point and rounded up to a float.
+a dyadic point (x + iy) / 2^bits with x, y Python ints.  One fixed-point
+Horner kernel serves the polish steps and the radius, which it evaluates
+with guard bits and a bound on its truncation error, rounded up to a
+float.
 """
 
 from __future__ import annotations
@@ -123,39 +125,28 @@ def dyadic(roots):
     return list(zip(ints[::2], ints[1::2])), bits
 
 
-def polish_roots(q, centres, bits):
+def polish_roots(q, centres, bits, fixed):
     """Polish approximate roots of the squarefree integer polynomial
     f = sum q[i] * t^i in fixed point at 2^-bits: a centre (x, y) is the
     dyadic point (x + iy) / 2^bits.  Each step is Newton's, with Aberth's
     repulsion from the other centres so two approximations near one root
     do not merge; a centre stops at the noise floor of the fixed-point
-    evaluation, or after POLISH_STEPS sweeps.  Returns (centres, radii),
-    each radius a float >= deg(f) * |f(z)| / |f'(z)| evaluated exactly at
-    its centre (inf where f'(z) = 0), so the disk holds a root of f."""
+    evaluation, or after POLISH_STEPS sweeps, and one marked in ``fixed``
+    never moves.  Returns (centres, radii), each radius a float >=
+    deg(f) * |f(z)| / |f'(z)| at its centre, so the disk holds a root of
+    f, or None for a fixed centre."""
     d, one = len(q) - 1, 1 << bits
     top = [c << bits for c in q]
     zs = list(centres)
-    settled = [False] * len(zs)
+    settled = list(fixed)
     for _ in range(POLISH_STEPS):
         for i, (x, y) in enumerate(zs):
             if settled[i]:
                 continue
-            # f(z) 2^bits = fr + i fi and f'(z) 2^bits = dr + i di, each
-            # product truncated to the fixed-point grid
-            fr, fi, dr, di = top[-1], 0, 0, 0
-            for c in reversed(top[:-1]):
-                dr, di = (((dr * x - di * y) >> bits) + fr,
-                          ((dr * y + di * x) >> bits) + fi)
-                fr, fi = (((fr * x - fi * y) >> bits) + c,
-                          (fr * y + fi * x) >> bits)
+            fr, fi, dr, di, e = _fixed_point_horner(top, x, y, bits)
             # settled once the residual is within what a move of one grid
-            # unit or the truncations (< 2d max(1, |z|)^(d-1) units) explain;
-            # |z| from x and y cut to ~60 bits, so no size overflows a float
-            shift = max(0, max(abs(x), abs(y)).bit_length() - 60)
-            log_z = math.log2(math.hypot((abs(x) >> shift) + 1,
-                                         (abs(y) >> shift) + 1)) + shift - bits
-            noise = 1 << math.ceil((d - 1) * max(0.0, log_z)) + 1 + \
-                (2 * d).bit_length()
+            # unit or the truncations explain
+            noise = 1 << e + (2 * d).bit_length()
             if max(abs(fr), abs(fi)) <= \
                     4 * ((max(abs(dr), abs(di)) >> bits) + noise):
                 settled[i] = True
@@ -181,29 +172,43 @@ def polish_roots(q, centres, bits):
             zs[i] = (x - sr, y - si)
         if all(settled):
             break
-    return zs, [_residual_radius(q, x, y, bits) for x, y in zs]
+    return zs, [None if keep else _residual_radius(q, x, y, bits)
+                for (x, y), keep in zip(zs, fixed)]
+
+
+def _fixed_point_horner(top, x, y, bits):
+    """(fr, fi, dr, di, e): f(z) 2^bits ~ fr + i fi and f'(z) 2^bits ~
+    dr + i di at z = (x + iy) / 2^bits, for top = f's coefficients times
+    2^bits, each product truncated onto the grid.  A truncation is off by
+    < sqrt(2) units and later steps multiply it by z, so the errors stay
+    below d 2^e and d^2 2^e units, with 2^e >= sqrt(2) max(1, |z|)^(d-1)
+    (half a bit to spare for float roundings; |z| from x and y cut to ~60
+    bits, so no size overflows a float)."""
+    fr, fi, dr, di = top[-1], 0, 0, 0
+    for c in reversed(top[:-1]):
+        dr, di = (((dr * x - di * y) >> bits) + fr,
+                  ((dr * y + di * x) >> bits) + fi)
+        fr, fi = (((fr * x - fi * y) >> bits) + c,
+                  (fr * y + fi * x) >> bits)
+    shift = max(0, max(abs(x), abs(y)).bit_length() - 60)
+    log_z = math.log2(math.hypot((abs(x) >> shift) + 1,
+                                 (abs(y) >> shift) + 1)) + shift - bits
+    return fr, fi, dr, di, math.ceil((len(top) - 2) * max(0.0, log_z)) + 1
 
 
 def _residual_radius(q, x, y, bits):
-    """A float >= d * |f(z)| / |f'(z)| at z = (x + iy) / 2^bits, from an
-    exact Horner evaluation over the Gaussian integers (inf where f'(z) = 0
-    or beyond float64)."""
-    d = len(q) - 1
-    fr, fi, dr, di = q[-1], 0, 0, 0
-    for k, c in enumerate(reversed(q[:-1]), 1):
-        dr, di = dr * x - di * y + fr, dr * y + di * x + fi
-        fr, fi = fr * x - fi * y + (c << bits * k), fr * y + fi * x
-    # f(z) 2^(d bits) = fr + i fi and f'(z) 2^((d-1) bits) = dr + i di, so
-    # the radius is sqrt(num / den); s / 2^k is its root rounded up, with
-    # 2^k large enough that s carries more than 53 bits
-    num, den = d * d * (fr * fr + fi * fi), (dr * dr + di * di) << 2 * bits
-    if not den:
+    """A float >= d * |f(z)| / |f'(z)| at z = (x + iy) / 2^bits (inf where
+    f'(z) may be 0 or the radius is beyond float64): _fixed_point_horner
+    at 2^-(2 bits), bits guard bits, gives F ~ f(z) and D ~ f'(z) within
+    E and E', and d (|F| + E) / (|D| - E') is rounded upward."""
+    d, fine = len(q) - 1, 2 * bits
+    fr, fi, dr, di, e = _fixed_point_horner([c << fine for c in q],
+                                            x << bits, y << bits, fine)
+    num = d * (math.isqrt(fr * fr + fi * fi) + 1 + (d << e))
+    den = math.isqrt(dr * dr + di * di) - (d * d << e)
+    if den <= 0:
         return math.inf
-    k = max(0, den.bit_length() - num.bit_length() + 110) // 2
-    square = -((-num << 2 * k) // den)
-    s = math.isqrt(square)
-    s += s * s < square
     try:
-        return math.nextafter(s / (1 << k), math.inf)
+        return math.nextafter(num / den, math.inf)
     except OverflowError:
         return math.inf

@@ -179,7 +179,7 @@ class TestEuclidean:
         assert elapsed < 1.0
 
     def test_random_degree_80(self):
-        # a squarefree input costs one primitive remainder sequence over Z
+        # a squarefree input costs one heuristic gcd over Z
         rng = random.Random(80)
         f = LaurentPolynomial({e: rng.randint(-9, 9) for e in range(80)}
                               | {80: rng.randint(1, 9)})
@@ -228,6 +228,16 @@ class TestEuclidean:
             return
         assert honest(m.value, m.error, mpmath_log_mahler(f))
 
+    @pytest.mark.parametrize("k", [12, 15, 18, 20, 25])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-13, 1e-15])
+    def test_near_double_roots_at_one_half_answer(self, k, tol):
+        # a root whose disk lies in the unit disk keeps its float radius
+        # only while that disk meets no other: keeping one root of the pair
+        # at its float disk while its twin is polished refuses these
+        f = near_double("1/2", k)
+        m = mahler_euclidean(f, tol)
+        assert honest(m.value, m.error, mpmath_log_mahler(f))
+
     @pytest.mark.parametrize("text", [
         "(2*t-3)*(2000000000000*t-3000000000002)",
         "(t-1)*(1000000000000*t-1000000000001)"])
@@ -268,9 +278,9 @@ class TestEuclidean:
         # two disks that meet may share one root and miss another
         centres, bits = dyadic([1.5, 1.5 + 1e-9])
         assert mahler._root_contributions(
-            centres, [1e-6, 1e-6], bits) == (None, math.inf, 0)
+            centres, [1e-6, 1e-6], bits)[:3] == (None, math.inf, 0)
         centres, bits = dyadic([1.5, 2.5])
-        total, err, count = mahler._root_contributions(
+        total, err, count, _ = mahler._root_contributions(
             centres, [1e-6, 1e-6], bits)
         assert abs(total - math.log(3.75)) <= 1e-15 and 0 < err < 1e-5
         # the quotient, log1p and the sum, for each of the two logs
@@ -341,7 +351,8 @@ class TestAberth:
         # 4t^2 - 1 has f'(0) = 0; both centres start there, and must part
         # onto the roots +-1/2 rather than settle with infinite radii
         bits = 40
-        out, radii = roots.polish_roots([-1, 0, 4], [(0, 0), (0, 0)], bits)
+        out, radii = roots.polish_roots([-1, 0, 4], [(0, 0), (0, 0)], bits,
+                                         [False, False])
         assert max(radii) < 1e-9
         assert sorted(Fraction(x, 2 ** bits) for x, _ in out) == \
             [pytest.approx(-0.5, abs=1e-9), pytest.approx(0.5, abs=1e-9)]
@@ -369,7 +380,8 @@ class TestAberth:
         polish = mahler.polish_roots
         monkeypatch.setattr(
             mahler, "polish_roots",
-            lambda q, c, bits: rounds.append(bits) or polish(q, c, bits))
+            lambda q, c, bits, fixed: rounds.append(bits)
+            or polish(q, c, bits, fixed))
         f = LaurentPolynomial(dict(enumerate(random_measure(42, 42))))
         m = mahler_euclidean(f, 1e-12)
         assert rounds == [72]
@@ -382,11 +394,34 @@ class TestAberth:
         q = [big, -big - 3, 3]
         bits = 700
         centres = [(2 ** 400 << bits, 0), ((1 << bits) + (1 << bits - 20), 0)]
-        out, radii = roots.polish_roots(q, centres, bits)
+        out, radii = roots.polish_roots(q, centres, bits, [False, False])
         for (x, y), r, root in zip(out, radii, (Fraction(big, 3), 1)):
             assert r < 1e-100
             assert (Fraction(x, 2 ** bits) - root) ** 2 + \
                 Fraction(y, 2 ** bits) ** 2 <= Fraction(r) ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=13),
+       st.integers(-2**90, 2**90), st.integers(-2**90, 2**90),
+       st.integers(1, 80))
+def test_residual_radius_bounds_the_exact_one(q, x, y, bits):
+    # the fixed-point radius against d |f(z)| / |f'(z)| in exact Gaussian
+    # rationals, at dyadic points inside, near and far outside |z| = 1
+    if not q[-1]:
+        q[-1] = 1
+    d = len(q) - 1
+    z = (Fraction(x, 2**bits), Fraction(y, 2**bits))
+    f, df = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))
+    for c in reversed(q):
+        df = (df[0] * z[0] - df[1] * z[1] + f[0],
+              df[0] * z[1] + df[1] * z[0] + f[1])
+        f = (f[0] * z[0] - f[1] * z[1] + c, f[0] * z[1] + f[1] * z[0])
+    r = roots._residual_radius(q, x, y, bits)
+    assert r > 0
+    if r < math.inf:
+        assert Fraction(r) ** 2 * (df[0] ** 2 + df[1] ** 2) >= \
+            d * d * (f[0] ** 2 + f[1] ** 2)
 
 
 @st.composite

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padic_mahler import polynomials
 from padic_mahler.entropy import (
     entropy_padic,
     entropy_total,
@@ -140,6 +141,12 @@ class TestParsing:
         # refused, not truncated by int() to (1, 0) or (1, 2)
         with pytest.raises(DomainError, match="must be integers"):
             MultivariatePolynomial(("x", "y"), {exps: 1})
+
+    @pytest.mark.parametrize("e", [1.5, Fraction(1), 2.0])
+    def test_laurent_refuses_non_integer_exponents(self, e):
+        # refused, not truncated by int() to the polynomial t
+        with pytest.raises(DomainError, match="must be integers"):
+            LaurentPolynomial({e: 1, 0: 1})
 
     def test_multivariate_rejects_negative_exponents(self):
         with pytest.raises(DomainError):
@@ -347,6 +354,12 @@ class TestGcd:
         assert zero.gcd(zero) == 0
         assert zero.gcd(f) == f.gcd(zero) == parse_laurent("t^2 - 2")
 
+    def test_spurious_factor_of_the_values(self):
+        # at xi = 2^12 both values share 4093 = xi - 3, whose digits t - 3
+        # divide the first input only; the exact product with the second
+        # input's cofactor refuses them
+        assert parse_laurent("(t-1)*(t-3)").gcd(parse_laurent("2*t-4099")) == 1
+
     def test_matches_sympy_gcd(self):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
@@ -409,15 +422,65 @@ class TestSquarefreeSplit:
     def test_fifty_digit_coefficients(self):
         # the gcds run over Z on primitive parts: no rational long division
         # with its growing denominators
+        self.check_fifty_digit_square(28, 5.0)
+
+    @pytest.mark.parametrize("degree, seconds", [(78, 1.0), (198, 5.0)])
+    def test_fifty_digit_coefficients_at_high_degree(self, degree, seconds):
+        # the remainder sequence alone takes seconds here (3 s at degree
+        # 60); the heuristic gcd takes milliseconds
+        self.check_fifty_digit_square(degree, seconds)
+
+    @staticmethod
+    def check_fifty_digit_square(degree, seconds):
         rng = random.Random(30)
         h = LaurentPolynomial(
-            {e: rng.randint(-10**50, 10**50) for e in range(29)})
+            {e: rng.randint(-10**50, 10**50) for e in range(degree + 1)})
         f = h * parse_laurent("2*t - 3")**2
         start = time.perf_counter()
         pairs = squarefree_split(f)
-        assert time.perf_counter() - start < 5.0
+        assert time.perf_counter() - start < seconds
         assert pairs == [(h * (1 / h.leading_coefficient), 1),
                          (parse_laurent("t - 3/2"), 2)]
+
+    def test_matches_the_remainder_sequence(self, monkeypatch):
+        # the heuristic gcd against the primitive remainder sequence, its
+        # fallback, on products with repeated factors, a content and a sign
+        rng = random.Random(19)
+        products = []
+        for trial in range(400):
+            big = 10**50 if trial % 2 else 6
+            f = LaurentPolynomial.constant(rng.choice([-1, 1])
+                                           * rng.randint(1, 30))
+            for _ in range(rng.randint(1, 2 if trial % 2 else 3)):
+                degree = rng.randint(1, 2 if trial % 2 else 4)
+                g = LaurentPolynomial(
+                    {e: rng.randint(-big, big) for e in range(degree)}
+                    | {degree: rng.randint(1, big)})
+                f = f * g ** rng.randint(1, 6)
+            products.append(f)
+        heuristic = [squarefree_split(f) for f in products]
+        monkeypatch.setattr(polynomials, "HEU_GCD_TRIES", 0)
+        assert heuristic == [squarefree_split(f) for f in products]
+
+    def test_remainder_sequence_runs_only_as_the_fallback(self, monkeypatch):
+        divisions = []
+        divmod_ = polynomials._poly_divmod
+        monkeypatch.setattr(polynomials, "_poly_divmod",
+                            lambda *a: divisions.append(1) or divmod_(*a))
+        f = parse_laurent("(t-1)^20*(t^2-3*t+1)*(2*t+3)^3")
+        want = [("t + 3/2", 3), ("t^2 - 3*t + 1", 1), ("t - 1", 20)]
+        assert sorted((str(a), i) for a, i in squarefree_split(f)) == \
+            sorted(want)
+        assert not divisions
+        # no value of xi tried: the primitive remainder sequence decides
+        monkeypatch.setattr(polynomials, "HEU_GCD_TRIES", 0)
+        assert sorted((str(a), i) for a, i in squarefree_split(f)) == \
+            sorted(want)
+        assert divisions
+        assert parse_laurent("t^3*(t-1)").gcd(
+            parse_laurent("t^-2*(t-1)*(t+5)")) == parse_laurent("t - 1")
+        zero = LaurentPolynomial.zero()
+        assert zero.gcd(parse_laurent("2*t^2 - 4")) == parse_laurent("t^2 - 2")
 
     def test_matches_sympy_sqf_list(self):
         sympy = pytest.importorskip("sympy")
