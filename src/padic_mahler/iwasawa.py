@@ -9,7 +9,10 @@ T = 0.  The fitted route computes the exact valuations of the cyclic
 resultants at n = p^r and solves the model on a trailing window,
 demanding exact equality rather than least squares.
 Their agreement is the consistency theorem this module re-proves on every
-input it is given.
+input it is given.  The public functions are the one path to each
+quantity, and verify_consistency calls them: each tower computation
+guards its input once, by folding A's integer coefficients for a
+p-power-th root of unity, and normalizing an already normal A is free.
 
 The tower is one call of resultants.cyclic_resultant_valuation on the
 chain p, p^2, ..., p^r_max: e_r = (p^r - 1) * mu + v_p R(A0, nu_{p^r}),
@@ -47,10 +50,11 @@ class IwasawaInvariants:
 
 
 def _divisible_by_p_power_cyclotomic(A: LaurentPolynomial, p: int):
-    """The smallest r >= 1 with Phi_{p^r} | A, or None.  Phi_{p^r}(t) =
-    Phi_p(t^q), q = p^(r-1), divides t^(pq) - 1; fold A mod t^(pq) - 1 to
-    b_0 .. b_(pq-1): Phi_{p^r} | A iff b_j = b_(j+q) for every j < (p-1)q."""
-    c = A.coefficients_ascending()
+    """The smallest r >= 1 with Phi_{p^r} | A, or None, for integral A.
+    Phi_{p^r}(t) = Phi_p(t^q), q = p^(r-1), divides t^(pq) - 1; fold A's
+    integer coefficients mod t^(pq) - 1 to b_0 .. b_(pq-1): Phi_{p^r} | A
+    iff b_j = b_(j+q) for every j < (p-1)q."""
+    c = A.integer_coefficients_ascending()
     r, q = 1, 1
     while (p - 1) * q < len(c):
         b = [sum(c[j::p * q]) for j in range(p * q)]
@@ -71,22 +75,18 @@ def qhs3_condition(A: LaurentPolynomial, p: int) -> bool:
     return _divisible_by_p_power_cyclotomic(A, p) is None
 
 
-def _require_nonzero_tower_resultants(A: LaurentPolynomial, p: int):
-    """Weaker guard used by the computations themselves: only a nontrivial
-    p-power-th root of unity among the roots makes R(A, nu_{p^r}) vanish
-    (a zero at t = 1 is harmless there, nu_n(1) = n != 0)."""
+def _guarded(A: LaurentPolynomial, p: int) -> LaurentPolynomial:
+    """The normalized A, after the guard every tower computation needs:
+    only a nontrivial p-power-th root of unity among the roots makes
+    R(A, nu_{p^r}) vanish (a zero at t = 1 is harmless there,
+    nu_n(1) = n != 0)."""
+    check_prime(p)
+    A = normalize_integral(A)
     r = _divisible_by_p_power_cyclotomic(A, p)
     if r is not None:
         raise DomainError(
             f"A vanishes at primitive {p}^{r}-th roots of unity; "
             f"the resultant tower degenerates")
-
-
-def _guarded(A: LaurentPolynomial, p: int) -> LaurentPolynomial:
-    """The normalized A, after the guard every tower computation needs."""
-    check_prime(p)
-    A = normalize_integral(A)
-    _require_nonzero_tower_resultants(A, p)
     return A
 
 
@@ -102,11 +102,7 @@ def lambda_invariant(A: LaurentPolynomial, p: int) -> int:
     by Weierstrass preparation the number of roots T of A(1+T)/p^mu with
     v_p(T) > 0, including T = 0.  (The Taylor shift is invertible over Z,
     so min_i v_p(c_i) is the Gauss-norm valuation mu of A.)"""
-    return _lambda(_guarded(A, p), p)
-
-
-def _lambda(A: LaurentPolynomial, p: int) -> int:
-    """lambda_invariant of a normalized, guarded A."""
+    A = _guarded(A, p)
     mu = gauss_norm_valuation(A, p)
     c = A.integer_coefficients_ascending()
     for i in range(len(c) - 1):          # integer Taylor shift t -> 1 + T
@@ -117,53 +113,29 @@ def _lambda(A: LaurentPolynomial, p: int) -> int:
 
 def tower_order_valuations(A: LaurentPolynomial, p: int, r_max: int):
     """e_r = v_p(|R(A, nu_{p^r})|) for r = 1..r_max, exactly."""
-    return _tower(_guarded(A, p), p, r_max)
-
-
-def _tower(A: LaurentPolynomial, p: int, r_max: int):
-    """tower_order_valuations of a normalized, guarded A."""
     return cyclic_resultant_valuation(
-        A, [p**r for r in range(1, r_max + 1)], p)
+        _guarded(A, p), [p**r for r in range(1, r_max + 1)], p)
 
 
 def fit_invariants(A: LaurentPolynomial, p: int, r_max: int = 6) -> IwasawaInvariants:
     """Solve e_r = lambda*r + mu*p^r + nu on a trailing window of exact
     resultant valuations; returns the invariants and the least r0 from
     which the formula holds verbatim."""
-    return _fit(_guarded(A, p), p, r_max)
-
-
-def _fit(A: LaurentPolynomial, p: int, r_max: int) -> IwasawaInvariants:
-    """fit_invariants of a normalized, guarded A."""
+    A = _guarded(A, p)
     if r_max < 3:
         raise DomainError("fitting needs r_max >= 3")
-    e = _tower(A, p, r_max)
-
-    def model_from_tail():
-        d1 = e[-2] - e[-3]
-        d2 = e[-1] - e[-2]
-        second = d2 - d1
-        denom = (p - 1) ** 2 * p ** (r_max - 2)
-        if second % denom:
-            return None
-        mu = second // denom
-        lam = d2 - mu * (p - 1) * p ** (r_max - 1)
-        nu = e[-1] - lam * r_max - mu * p**r_max
-        if mu < 0 or lam < 0:
-            return None
-        return lam, mu, nu
-
-    model = model_from_tail()
-    if model is None:
+    e = cyclic_resultant_valuation(A, [p**r for r in range(1, r_max + 1)], p)
+    # the second difference of the tail is mu (p - 1)^2 p^(r_max - 2)
+    d2 = e[-1] - e[-2]
+    mu, rest = divmod(d2 - e[-2] + e[-3], (p - 1) ** 2 * p ** (r_max - 2))
+    lam = d2 - mu * (p - 1) * p ** (r_max - 1)
+    if rest or mu < 0 or lam < 0:
         raise ConvergenceError(
             f"no stable Iwasawa window up to r_max={r_max}; raise r_max")
-    lam, mu, nu = model
-    r0 = r_max
-    for r in range(r_max, 0, -1):
-        if e[r - 1] == lam * r + mu * p**r + nu:
-            r0 = r
-        else:
-            break
+    nu = e[-1] - lam * r_max - mu * p**r_max
+    r0 = r_max          # the model fits e_(r_max) by the choice of nu
+    while r0 > 1 and e[r0 - 2] == lam * (r0 - 1) + mu * p**(r0 - 1) + nu:
+        r0 -= 1
     if r0 > r_max - 2:
         raise ConvergenceError(
             f"Iwasawa model only matches {r_max - r0 + 1} point(s); raise r_max")
@@ -205,10 +177,9 @@ def verify_consistency(A: LaurentPolynomial, p: int,
     if sum(c) == 0 == sum(i * x for i, x in enumerate(c)):
         raise DomainError(
             "A has a multiple zero at t = 1; the homology model breaks")
-    _require_nonzero_tower_resultants(A, p)
-    lam = _lambda(A, p)
-    mu = gauss_norm_valuation(A, p)
-    fitted = _fit(A, p, r_max)
+    lam = lambda_invariant(A, p)
+    mu = mu_invariant(A, p)
+    fitted = fit_invariants(A, p, r_max)
     report = ConsistencyReport(p, lam, mu, fitted)
     if not report.consistent:
         raise ConvergenceError(

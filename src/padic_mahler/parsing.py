@@ -5,7 +5,9 @@ Literals are integers and rationals ``a/b``; variables match
 Implicit multiplication is rejected, and ``^`` takes a (possibly negative,
 optionally parenthesized) integer exponent.  The one printer of both
 polynomial classes emits descending exponents with explicit ``*``, and
-``parse(str(f)) == f`` is a tested round-trip.
+``parse(str(f)) == f`` is a tested round-trip.  Parentheses nest at most
+MAX_NESTING = 200 deep, as in CPython's parser, so the recursive descent
+stays well inside the default recursion limit.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from operator import add
 
 from .errors import DomainError, ParseError
 from .polynomials import LaurentPolynomial, MultivariatePolynomial
+
+MAX_NESTING = 200
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^/()]))")
 
@@ -53,6 +57,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.variables = sorted({v for kind, v, _ in self.tokens
                                  if kind == "ident"})
 
@@ -197,8 +202,12 @@ class _Parser:
         if kind == "ident":
             return {tuple(int(v == val) for v in self.variables): 1}
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError("parentheses nested too deep", pos)
             value = self.expression()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {val!r}", pos)
 

@@ -319,17 +319,15 @@ def _format_terms(terms, variables) -> str:
 
 def normalize(f: LaurentPolynomial) -> LaurentPolynomial:
     """Multiply by a unit +-t^k so min exponent is 0 and the leading
-    coefficient is positive.
+    coefficient is positive; a normal f comes back as itself.
 
     Every measure and invariant downstream is unchanged by this, which the
     test suite checks explicitly.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot normalize the zero polynomial")
-    g = f.shift(-f.low_degree)
-    if g.leading_coefficient < 0:
-        g = -g
-    return g
+    g = f.shift(-f.low_degree) if f.low_degree else f
+    return -g if g.leading_coefficient < 0 else g
 
 
 def normalize_integral(f: LaurentPolynomial) -> LaurentPolynomial:

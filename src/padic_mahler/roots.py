@@ -22,6 +22,7 @@ import math
 
 from .errors import ConvergenceError
 from .polynomials import _derivative, _horner
+from .valuations import _upper_hull
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 PHASE_OFFSET = 0.4142135623730951  # fixed, breaks real-axis symmetry
@@ -104,14 +105,7 @@ def _start_moduli(sizes):
     # a size that rounded to 0 stays a point, at the least positive float,
     # so the hull spans 0..n; inside it lies below the chord and drops out
     pts = [(i, math.log(max(s, 5e-324))) for i, s in enumerate(sizes)]
-    hull = []
-    for q in pts:
-        # drop the last vertex while it lies on or below the chord to q
-        while len(hull) >= 2 and \
-                (hull[-1][0] - hull[-2][0]) * (q[1] - hull[-2][1]) >= \
-                (hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0]):
-            hull.pop()
-        hull.append(q)
+    hull = _upper_hull(pts)
     return [math.exp((li - lj) / (j - i))
             for (i, li), (j, lj) in zip(hull, hull[1:]) for _ in range(i, j)]
 

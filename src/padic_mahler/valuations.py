@@ -6,6 +6,8 @@ The Newton polygon is the lower convex hull of the points
 (i, v_p(a_i)); a segment of slope m and horizontal length l certifies
 exactly l roots of p-adic valuation -m (that convention is fixed once here
 and cross-checked against the Gauss norm, so it cannot silently drift).
+It comes, as the upper hull of the points (i, -v_p(a_i)), from the one
+hull routine _upper_hull, which also places the Aberth starts in roots.
 """
 
 from __future__ import annotations
@@ -27,6 +29,19 @@ def gauss_norm_valuation(f: LaurentPolynomial, p: int) -> int:
     return min(vp(c, p) for c in f.terms.values())
 
 
+def _upper_hull(points):
+    """Upper convex hull vertices of points sorted by x; none on a chord."""
+    hull = []
+    for q in points:
+        # drop the last vertex while it lies on or below the chord to q
+        while len(hull) >= 2 and \
+                (hull[-1][0] - hull[-2][0]) * (q[1] - hull[-2][1]) >= \
+                (hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0]):
+            hull.pop()
+        hull.append(q)
+    return hull
+
+
 @dataclass(frozen=True)
 class NewtonPolygon:
     """Lower convex hull of (exponent, coefficient valuation) pairs."""
@@ -39,22 +54,11 @@ class NewtonPolygon:
     def of(cls, f: LaurentPolynomial, p: int) -> "NewtonPolygon":
         check_prime(p)
         f = normalize(f)
-        points = sorted((e, vp(c, p)) for e, c in f.terms.items())
-        hull = []
-        for pt in points:
-            while len(hull) >= 2:
-                (x1, y1), (x2, y2) = hull[-2], hull[-1]
-                x3, y3 = pt
-                # drop the middle point unless the turn is strictly convex
-                if (y2 - y1) * (x3 - x2) >= (y3 - y2) * (x2 - x1):
-                    hull.pop()
-                else:
-                    break
-            hull.append(pt)
-        segments = []
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            segments.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
-        return cls(p, tuple(hull), tuple(segments))
+        hull = [(e, -v) for e, v in _upper_hull(
+            sorted((e, -vp(c, p)) for e, c in f.terms.items()))]
+        return cls(p, tuple(hull),
+                   tuple((Fraction(y2 - y1, x2 - x1), x2 - x1)
+                         for (x1, y1), (x2, y2) in zip(hull, hull[1:])))
 
     def has_zero_slope(self) -> bool:
         return any(slope == 0 for slope, _ in self.segments)

@@ -255,6 +255,8 @@ EXIT_CODE_CASES = [
     (["homology", "--poly", "t^2-3*t+1", "--n", "10000"], 0),
     (["mahler", "--poly", "(t-1)^1100"], 0),
     (["mahler", "--poly", "(t-1)^("], 3),
+    # nested past the parser's limit: a parse error, not a RecursionError
+    (["mahler", "--poly", "(" * 300 + "t" + ")" * 300], 3),
     (["mp", "--poly", "t^2-2*t+4", "--prime", "2", "--nbudget", "3"], 4),
     (["mp", "--poly", "t^2-2*t+4", "--prime", "2", "--precision", "0"], 5),
     # the estimators certify at most precision - 1 digits

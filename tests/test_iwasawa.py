@@ -1,4 +1,6 @@
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -129,18 +131,44 @@ class TestConsistency:
         with pytest.raises(DomainError):
             verify_consistency(P("4*t^2 - 8*t + 4"), 2)
 
-    def test_one_cyclotomic_fold_per_call(self, monkeypatch):
-        calls = []
+    def test_two_integer_cyclotomic_folds_per_call(self, monkeypatch):
+        # one guard in each of lambda_invariant and fit_invariants, each
+        # summing Python ints: no Fraction is added inside a fold
+        callers, fraction_sums = [], []
         fold = iwasawa._divisible_by_p_power_cyclotomic
 
+        def counting(op):
+            return lambda *a: fraction_sums.append(1) or op(*a)
+
         def counted(*args):
-            calls.append(args)
-            return fold(*args)
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in ("lambda_invariant",
+                                               "fit_invariants"):
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+            with monkeypatch.context() as m:
+                m.setattr(Fraction, "__add__", counting(Fraction.__add__))
+                m.setattr(Fraction, "__radd__", counting(Fraction.__radd__))
+                return fold(*args)
 
         monkeypatch.setattr(iwasawa, "_divisible_by_p_power_cyclotomic",
                             counted)
         rep = verify_consistency(P("2*t^2 - 3*t + 2"), 2, 6)
-        assert rep.consistent and len(calls) == 1
+        assert rep.consistent
+        assert callers == ["lambda_invariant", "fit_invariants"]
+        assert not fraction_sums
+
+    def test_public_functions_are_the_one_path(self, monkeypatch):
+        calls = []
+        for name in ("lambda_invariant", "mu_invariant", "fit_invariants"):
+            def counted(*args, _name=name, _f=getattr(iwasawa, name)):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(iwasawa, name, counted)
+        rep = verify_consistency(P("2*t^2 - 3*t + 2"), 2, 6)
+        assert rep.consistent
+        assert sorted(calls) == ["fit_invariants", "lambda_invariant",
+                                 "mu_invariant"]
 
     def test_unit_multiplication_invariance(self):
         f = P("2*t^3 - 2*t^2")   # 2t^2 (t - 1)

@@ -410,18 +410,34 @@ def test_residual_radius_bounds_the_exact_one(q, x, y, bits):
     # rationals, at dyadic points inside, near and far outside |z| = 1
     if not q[-1]:
         q[-1] = 1
-    d = len(q) - 1
+    r = roots._residual_radius(q, x, y, bits)
+    assert r > 0
+    if r < math.inf:
+        assert _bounds_exact_radius(r, q, x, y, bits)
+
+
+def _bounds_exact_radius(r, q, x, y, bits):
+    """r >= d |f(z)| / |f'(z)| at z = (x + iy) / 2^bits, in exact
+    Gaussian rationals."""
     z = (Fraction(x, 2**bits), Fraction(y, 2**bits))
     f, df = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))
     for c in reversed(q):
         df = (df[0] * z[0] - df[1] * z[1] + f[0],
               df[0] * z[1] + df[1] * z[0] + f[1])
         f = (f[0] * z[0] - f[1] * z[1] + c, f[0] * z[1] + f[1] * z[0])
+    d = len(q) - 1
+    return Fraction(r) ** 2 * (df[0] ** 2 + df[1] ** 2) >= \
+        d * d * (f[0] ** 2 + f[1] ** 2)
+
+
+def test_residual_radius_counts_its_truncation():
+    # f = (32t - 3)(32t - 4)(t^2 - 1) at (8 - i)/64, beside the clustered
+    # roots 3/32 and 1/8 on a coarse grid: f(z) is a few fixed-point
+    # units, so the radius covers d |f(z)| / |f'(z)| only with the
+    # truncation bound 1 + d 2^e in its numerator
+    q, x, y, bits = [-12, 224, -1012, -224, 1024], 8, -1, 6
     r = roots._residual_radius(q, x, y, bits)
-    assert r > 0
-    if r < math.inf:
-        assert Fraction(r) ** 2 * (df[0] ** 2 + df[1] ** 2) >= \
-            d * d * (f[0] ** 2 + f[1] ** 2)
+    assert r < math.inf and _bounds_exact_radius(r, q, x, y, bits)
 
 
 @st.composite

@@ -19,7 +19,12 @@ from padic_mahler.iwasawa import (
     verify_consistency,
 )
 from padic_mahler.mahler import resultant_limit_estimate
-from padic_mahler.parsing import _Parser, parse_laurent, parse_polynomial
+from padic_mahler.parsing import (
+    MAX_NESTING,
+    _Parser,
+    parse_laurent,
+    parse_polynomial,
+)
 from padic_mahler.polynomials import (
     LaurentPolynomial,
     MultivariatePolynomial,
@@ -161,6 +166,21 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_polynomial("t + " + "1" + "0" * 5000)
         assert err.value.position == 4
+
+    def test_nesting_limit(self):
+        # the limit parses; one more "(" or 10,000 of them is a ParseError
+        # at the first "(" past the limit, never a RecursionError
+        def nested(k):
+            return "(" * k + "t-2" + ")" * k
+        assert parse_polynomial(nested(MAX_NESTING)) == parse_polynomial("t-2")
+        for k in (MAX_NESTING + 1, 10_000):
+            with pytest.raises(ParseError) as err:
+                parse_polynomial(nested(k))
+            assert err.value.position == MAX_NESTING
+        # nesting, not the count of parentheses, is bounded
+        k = 2 * MAX_NESTING
+        assert parse_polynomial("*".join(["(t-2)"] * k)) == \
+            parse_polynomial("t-2") ** k
 
     def test_double_caret_rejected(self):
         with pytest.raises(ParseError):
