@@ -286,11 +286,15 @@ def _unit_root_factor(F, p: int, K: int):
     Gerhard (Modern Computer Algebra, Alg. 15.10) with the monic f0 as the
     divisor, the cofactor g absorbing the degree that vanishes mod p; the
     lift is checked (F = g f0 mod p^K) before it is returned.  When every
-    root is a unit (i0 = 0, i1 = deg F) the same steps run with the
-    constant cofactor g = lead(F), and f0 is F / lead(F) mod p^K.
+    root is a unit (i0 = 0, i1 = deg F) there is nothing to lift: f0 is
+    F times the inverse of lead(F) mod p^K, one division.
     """
     units = [i for i, c in enumerate(F) if c % p]
     i0, i1 = units[0], units[-1]
+    if i0 == 0 and i1 == len(F) - 1:
+        mod = p**K
+        c_inv = modinv(F[i1], mod)
+        return [x * c_inv % mod for x in F]
     c_inv = modinv(F[i1] % p, p)
     h = [x * c_inv % p for x in F[i0:i1 + 1]]       # f0 mod p
     g = [0] * i0 + [F[i1] % p]                      # c t^i0

@@ -17,9 +17,10 @@ the determinant of the Sylvester matrix.  Three routes are kept:
   the roots of F by Newton's identities and takes no determinant.
 
 The three agree, and the test suite checks that they do.  Modulo p^K,
-cyclic_resultant_valuation takes Berkowitz determinants, K = 16 doubling
-until each step's valuation is certified strictly below K - 1 (refused
-past K = (d0 + 2)(bits(n_max) + 8) + 32 times 2^7, d0 = deg f0).
+cyclic_resultant_valuation reads each step's valuation off a pivoted
+elimination over Z/p^K (_det_valuation_mod), K = 16 doubling until each
+step's valuation is certified strictly below K - 1 (refused past
+K = (d0 + 2)(bits(n_max) + 8) + 32 times 2^7, d0 = deg f0).
 
 Conventions: R(0, g) = 0 and R(c, g) = c^deg(g) for constants, so
 R(1, g) = 1.  Laurent inputs are normalized (min exponent 0, positive
@@ -155,7 +156,8 @@ def _multiplication_matrix(h, F, mod=None):
 
 
 def berkowitz_determinant_mod(A, mod: int) -> int:
-    """Division-free determinant of a square matrix over Z/mod."""
+    """Division-free determinant of a square matrix over Z/mod: the test
+    oracle for _det_valuation_mod, kept while bench/tracer.py wraps it."""
     n, poly = len(A), [1]
     for i in range(n):
         # q_(k+2) = -R M^k S, R and S the row and column meeting A[i][i]
@@ -168,6 +170,48 @@ def berkowitz_determinant_mod(A, mod: int) -> int:
                 vec = [sum(map(mul, r, vec)) % mod for r in A[:i]]
         poly = [sum(map(mul, q[k::-1], poly)) % mod for k in range(i + 2)]
     return (-1) ** n * poly[n] % mod
+
+
+def _det_valuation_mod(m, p: int, K: int):
+    """v_p (det m mod p^K) for a square matrix m with entries reduced mod
+    p^K, by elimination over Z/p^K with full pivoting on an entry of least
+    valuation (the first p-unit in row order, else the least vp_int): the
+    sum of the pivot valuations, or None once a remaining block vanishes
+    mod p^K.
+
+    A pivot p^e u (u a unit) has least valuation in its block, so every
+    multiplier a_ik / p^e * u^(-1) is p-integral; the row operations keep
+    det m mod p^K, which is therefore +-(product of the pivots) mod p^K.
+    So a sum w < K is v_p (det m mod p^K), and w >= K means, as None does,
+    that det m = 0 mod p^K.
+    """
+    mod, w = p**K, 0
+    m = [row[:] for row in m]
+    while m:
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                if x % p:
+                    break
+            else:
+                continue
+            e = 0
+            break
+        else:  # no unit left: the least valuation, if any entry is nonzero
+            nonzero = [(vp_int(x, p), i, j) for i, row in enumerate(m)
+                       for j, x in enumerate(row) if x]
+            if not nonzero:
+                return None
+            e, i, j = min(nonzero)
+        pivot_row = m.pop(i)
+        pe = p**e
+        inv = pow(pivot_row.pop(j) // pe, -1, mod)
+        for row in m:
+            x = row.pop(j)
+            if x:
+                c = x // pe * inv % mod
+                row[:] = [(y - c * z) % mod for y, z in zip(row, pivot_row)]
+        w += e
+    return w
 
 
 # -- cyclic resultants -----------------------------------------------------
@@ -297,9 +341,12 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, ns, p: int):
 
     With C the companion matrix of f0 mod p^K, R(f0, nu_n) = det nu_n(C);
     as nu_(qm)(t) = nu_q(t^m) nu_m(t), the step from m to qm adds v_p det
-    nu_q(C^m), on the multiplication matrix of nu_q(t^m) modulo f0 and p^K.
-    K = 16, 32, .. doubles for the whole chain until every step's
-    determinant is nonzero of valuation below K - 1; the last K tried is
+    nu_q(C^m), the sum of the pivot valuations of a pivoted elimination
+    of the multiplication matrix of nu_q(t^m) modulo f0 and p^K.
+    K = 16, 32, .. doubles for the whole chain until no step's remaining
+    block vanishes mod p^K and every step's valuation is below K - 1,
+    exactly when its determinant mod p^K is nonzero of valuation below
+    K - 1; the last K tried is
     (d0 + 2)(bits(ns[-1]) + 8) + 32 times 2^7, d0 = deg f0.  So a zero
     resultant is a ConvergenceError (callers exclude n-th roots of unity).
     """
@@ -320,11 +367,10 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, ns, p: int):
         P, out, v = [0, 1], [], 0
         for m, n in zip([1, *ns], ns):
             P, S = _power_and_ones_sum(P, 1, n // m, f0, mod)
-            det = berkowitz_determinant_mod(
-                _multiplication_matrix(S, f0, mod), mod)
-            if not det or vp_int(det, p) >= K - 1:
+            w = _det_valuation_mod(_multiplication_matrix(S, f0, mod), p, K)
+            if w is None or w >= K - 1:
                 break  # not certified strictly inside the window
-            v += vp_int(det, p)
+            v += w
             out.append((n - 1) * mu + v)
         else:
             return out

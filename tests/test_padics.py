@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padic_mahler import padics
 from padic_mahler.errors import DomainError, HenselError, PrecisionError
 from padic_mahler.ntheory import INFINITY, vp_int
 from padic_mahler.padics import (
@@ -15,6 +16,7 @@ from padic_mahler.padics import (
     teichmuller,
 )
 from padic_mahler.parsing import parse_laurent
+from padic_mahler.polynomials import _poly_divmod
 
 
 class TestArithmetic:
@@ -137,6 +139,48 @@ class TestHensel:
         mod = 3**K
         assert _unit_root_factor(F.integer_coefficients_ascending(), 3, K) \
             == [-1 % mod, -1 % mod, 1]
+
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        calls = []
+        real = padics._poly_divmod
+
+        def spy(a, h, mod=None):
+            calls.append(len(h) - 1)
+            return real(a, h, mod)
+
+        monkeypatch.setattr(padics, "_poly_divmod", spy)
+        return calls
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 40])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_all_unit_roots_need_no_lift(self, divisions, p, K):
+        # p-unit end coefficients: every root is a unit, f0 = F / lead(F)
+        rng = random.Random(f"{p}:{K}")
+        mod = p**K
+        for _ in range(20):
+            d = rng.randint(1, 7)
+            F = [rng.randint(-50, 50) for _ in range(d + 1)]
+            units = [u for u in range(-50, 51) if u % p and u != 1]
+            F[0], F[d] = rng.choice(units), rng.choice(units)
+            f0 = _unit_root_factor(F, p, K)
+            assert len(f0) == d + 1 and f0[-1] == 1
+            assert all((F[d] * x - y) % mod == 0 for x, y in zip(f0, F))
+        assert divisions == []
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 40])
+    @pytest.mark.parametrize("text", ["(5*t^2-3*t+7)*(2*t-1)*(t-4)",
+                                      "(5*t^2-3*t+7)*(2*t-1)"])
+    def test_split_factor_takes_the_hensel_route(self, divisions, text, K):
+        # at p = 2 the roots of 5t^2 - 3t + 7 are units, that of 2t - 1
+        # lies outside the unit disk and that of t - 4 inside: i0 = 1 or 0
+        # and i1 < deg F, so f0 is lifted against a cofactor
+        F = parse_laurent(text)
+        c = F.integer_coefficients_ascending()
+        f0 = _unit_root_factor(c, 2, K)
+        assert len(f0) == 3 and f0[-1] == 1
+        assert _poly_divmod(c, f0, 2**K)[1] == [0]
+        assert divisions
 
 
 class TestTeichmuller:

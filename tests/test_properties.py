@@ -27,6 +27,9 @@ from padic_mahler.polynomials import (
     squarefree_split,
 )
 from padic_mahler.resultants import (
+    _det_valuation_mod,
+    bareiss_determinant,
+    berkowitz_determinant_mod,
     cyclic_resultant,
     cyclic_resultant_sweep,
     cyclic_resultant_sylvester,
@@ -192,6 +195,45 @@ def test_tower_valuations_along_divisor_chains(inputs, m, length):
     assume(0 not in exact)
     assert cyclic_resultant_valuation(f, ns, p) == [vp_int(x, p)
                                                     for x in exact]
+
+
+@st.composite
+def residue_matrices(draw):
+    """(A, p, K): a square integer matrix of dimension 0..9 reduced mod p^K,
+    K in 1..8, with some rows and columns scaled by powers of p and at
+    times one row a combination of two others, so that blocks vanishing
+    mod p^K and singular matrices are common."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    K = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 9))
+    entries = st.integers(0, p**K - 1)
+    A = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    scale = st.dictionaries(st.integers(0, n - 1),
+                            st.integers(1, max(1, K // 2)),
+                            max_size=2) if n else st.just({})
+    rows, cols = draw(scale), draw(scale)
+    A = [[x * p ** (rows.get(i, 0) + cols.get(j, 0))
+          for j, x in enumerate(row)] for i, row in enumerate(A)]
+    if n >= 3 and draw(st.integers(0, 3)) == 0:
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        A[-1] = [a * x + b * y for x, y in zip(A[0], A[1])]
+    return [[x % p**K for x in row] for row in A], p, K
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_matrices())
+def test_pivoted_valuation_makes_the_berkowitz_decision(case):
+    """The chain step's break rule read off the pivoted kernel equals the
+    one read off the Berkowitz determinant mod p^K, and a certified step
+    has the valuation of the exact determinant, refusals included."""
+    A, p, K = case
+    w = _det_valuation_mod(A, p, K)
+    det = berkowitz_determinant_mod(A, p**K)
+    refused = w is None or w >= K - 1
+    assert refused == (not det or vp_int(det, p) >= K - 1)
+    assert det == 0 if w is None or w >= K else vp_int(det, p) == w
+    if not refused:
+        assert w == vp_int(bareiss_determinant(A), p)
 
 
 def _polygon_lambda(A, p):

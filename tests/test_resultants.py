@@ -217,20 +217,28 @@ class TestResidueKernel:
                 cyclic_resultant(parse_laurent(text), n, "full")
                 assert dims == [d], (text, n)
 
-    def test_one_berkowitz_determinant_per_chain_level(self, monkeypatch):
-        dims = []
-        real = resultants.berkowitz_determinant_mod
+    def test_one_elimination_per_chain_level(self, monkeypatch):
+        dims, oracle = [], []
+        real = resultants._det_valuation_mod
+        real_oracle = resultants.berkowitz_determinant_mod
 
-        def spy(matrix, mod):
+        def spy(matrix, p, K):
             dims.append(len(matrix))
-            return real(matrix, mod)
+            return real(matrix, p, K)
 
-        monkeypatch.setattr(resultants, "berkowitz_determinant_mod", spy)
+        def oracle_spy(matrix, mod):
+            oracle.append(len(matrix))
+            return real_oracle(matrix, mod)
+
+        monkeypatch.setattr(resultants, "_det_valuation_mod", spy)
+        monkeypatch.setattr(resultants, "berkowitz_determinant_mod",
+                            oracle_spy)
         # at p = 2 the unit coefficients sit at t^1 .. t^8, so d0 = 7
         f = parse_laurent("3*t^8-5*t^5+t^3+7*t-4")
         chain = [2**r for r in range(1, 9)]
         cyclic_resultant_valuation(f, chain, 2)
         assert dims == [7] * len(chain)
+        assert oracle == []
 
 
 BIG = "31415926535897932384626433832795028841971693993751"   # 50 digits
@@ -432,14 +440,42 @@ def random_chain_case(rng):
     return LaurentPolynomial(dict(enumerate(c))), p, ns
 
 
-def chain_mismatches(seed, count):
+def doubling_chain_case(rng):
+    """(f, p, ns) as random_chain_case, with f = (t + 1 + p^s u) g for
+    s in 14..60, g of degree 0..4 (p prime to both ends, p | lead, or p |
+    content of f) and a chain through an even n.  At even n the root near
+    -1 puts a step of valuation at least s into the chain, so K = 16
+    almost never certifies it and the modulus doubles."""
+    p = rng.choice([2, 3, 5])
+    cls = rng.choice(["unit", "lead", "content"])
+    e = rng.randint(0, 4)
+    units = [u for u in range(-30, 31) if u % p]
+    g = [rng.randint(-30, 30) for _ in range(e + 1)]
+    g[0], g[e] = rng.choice(units), rng.choice(units)
+    if cls == "lead":
+        g[e] *= p ** rng.randint(1, 2)
+    root = 1 + p ** rng.randint(14, 60) * rng.choice(units)
+    c = [root * x for x in g] + [0]
+    for i, x in enumerate(g):
+        c[i + 1] += x
+    if cls == "content":
+        c = [p * x for x in c]
+    ns = [rng.randint(1, 4)]
+    for _ in range(rng.randint(1, 3)):
+        ns.append(ns[-1] * rng.choice([2, 3, p]))
+    if all(n % 2 for n in ns):
+        ns.append(2 * ns[-1])
+    return LaurentPolynomial(dict(enumerate(c))), p, ns
+
+
+def chain_mismatches(seed, count, case=random_chain_case):
     """The random chains on which cyclic_resultant_valuation disagrees with
     v_p of the exact cyclic_resultant, or fails to refuse a chain that
     reaches a zero resultant."""
     rng = random.Random(seed)
     bad = []
     for _ in range(count):
-        f, p, ns = random_chain_case(rng)
+        f, p, ns = case(rng)
         exact = [cyclic_resultant(f, n) for n in ns]
         try:
             got = cyclic_resultant_valuation(f, ns, p)
@@ -504,3 +540,9 @@ class TestValuationModulus:
 
     def test_random_chains_match_exact_resultants(self):
         assert chain_mismatches(seed=181, count=300) == []
+
+    def test_doubling_chains_match_exact_resultants(self, moduli):
+        assert chain_mismatches(seed=191, count=1000,
+                                case=doubling_chain_case) == []
+        # every chain starts at K = 16; nearly all of them double
+        assert moduli.count(16) == 1000 and moduli.count(32) >= 900
