@@ -14,7 +14,10 @@ the determinant of the Sylvester matrix.  Three routes are kept:
   R(f, t^n - 1) = R(f, t - 1) R(f, nu_n) with R(f, t - 1) = (-1)^deg(f) f(1);
 * runs of n, dense or sparse: the trace sweep (cyclic_resultant_sweep),
   which reads the characteristic polynomial of B^n off the power sums of
-  the roots of F by Newton's identities and takes no determinant.
+  the roots of F by Newton's identities and takes no determinant.  It
+  keeps the exact R(g, t^n - 1) of the last (t - 1)-free part g it swept,
+  up to 2^23 bits (1 MiB) of them, and runs the recurrence only for the
+  n they miss; what it yields equals a cold sweep.
 
 The three agree, and the test suite checks that they do.  Modulo p^K,
 cyclic_resultant_valuation reads each step's valuation off a pivoted
@@ -249,6 +252,44 @@ def cyclic_resultant(f: LaurentPolynomial, n: int, variant: str = "ones") -> int
     return scale * value
 
 
+# The last (t - 1)-free part g swept: (tuple(g), {n: R(g, t^n - 1)},
+# [bits held]), rebound whole when g changes; at most _MEMO_BITS bits kept
+_MEMO_BITS = 1 << 23
+_last_sweep = ((), {}, [0])
+
+
+def _sweep_kernel(g, ns):
+    """Yield R(g, t^n - 1) for each n of the strictly increasing list ns,
+    g the ascending coefficients of an integer polynomial with g(1) != 0,
+    by traces: see cyclic_resultant_sweep."""
+    F, a = _scaled_monic(g)
+    e, q = len(g) - 1, F[-2::-1]    # q_j: the coefficient of x^(e - j) in F
+    wanted = {j * n for n in ns for j in range(1, e + 1)}
+    kept = {}                   # P_k for k in wanted
+    recent = deque([0] * e, maxlen=e)   # P_(k-e) .. P_(k-1), 0 for k <= 0
+    for prev, n in zip([0, *ns], ns):
+        for k in range(e * prev + 1, e * n + 1):
+            # Newton: P_k = -sum_{j <= min(k, e)} q_j P_(k-j) - [k <= e] k q_k
+            s = sum(map(mul, q, reversed(recent)))
+            recent.append(-s - k * q[k - 1] if k <= e else -s)
+            if k in wanted:
+                kept[k] = recent[-1]
+        # chi(x) = sum_k c_k x^(e-k): k c_k = -sum_{j <= k} c_(k-j) P_(jn)
+        traces = [kept[j * n] for j in range(1, e + 1)]
+        value, x = 1, a**n
+        chi = [1]
+        for k in range(1, e + 1):
+            c, r = divmod(-sum(map(mul, reversed(chi), traces)), k)
+            if r:
+                raise ConvergenceError("Newton's identity left a remainder")
+            chi.append(c)
+            value = value * x + c
+        value, r = divmod((-1) ** e * value * x, x**e)
+        if r:
+            raise ConvergenceError("companion scaling must divide exactly")
+        yield value
+
+
 def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     """Yield cyclic_resultant(f, n, variant) for each n of the strictly
     increasing iterable ``ns`` of positive integers, with no determinant.
@@ -271,44 +312,44 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     the last e that the recurrence reads are kept, so dense runs of n and
     sparse ones such as the purely p-adic stabilization window are served
     alike; one isolated large n is cheaper by cyclic_resultant.
+
+    The exact R(g, t^n - 1) of the last g swept are kept, so the
+    estimators that read one f in turn run the recurrence only for the n
+    no earlier sweep of g reached; the values are those a cold sweep
+    yields.  A sweep of another g replaces them, and they are kept only
+    while their bit lengths sum to at most _MEMO_BITS (1 MiB); later ones
+    are still yielded.
     """
+    global _last_sweep
     _check_variant(variant)
     ns = list(ns)
     if any(n <= prev for prev, n in zip([0, *ns], ns)):
         raise DomainError("sweep needs strictly increasing positive n")
     m, g = _split_t_minus_one(
         normalize_integral(f).integer_coefficients_ascending())
-    F, a = _scaled_monic(g)
-    e, q = len(g) - 1, F[-2::-1]    # q_j: the coefficient of x^(e - j) in F
-    wanted = {j * n for n in ns for j in range(1, e + 1)}
-    kept = {}                   # P_k for k in wanted
-    recent = deque([0] * e, maxlen=e)   # P_(k-e) .. P_(k-1), 0 for k <= 0
-    for prev, n in zip([0, *ns], ns):
-        if m and variant == "full":
-            yield 0         # t = 1 is a root of both
-            continue
-        for k in range(e * prev + 1, e * n + 1):
-            # Newton: P_k = -sum_{j <= min(k, e)} q_j P_(k-j) - [k <= e] k q_k
-            s = sum(x * y for x, y in zip(q, reversed(recent)))
-            recent.append(-s - k * q[k - 1] if k <= e else -s)
-            if k in wanted:
-                kept[k] = recent[-1]
-        # chi(x) = sum_k c_k x^(e-k): k c_k = -sum_{j <= k} c_(k-j) P_(jn)
-        traces = [kept[j * n] for j in range(1, e + 1)]
-        value, x = 1, a**n
-        chi = [1]
-        for k in range(1, e + 1):
-            s = sum(y * z for y, z in zip(reversed(chi), traces))
-            c, r = divmod(-s, k)
+    if m and variant == "full":
+        yield from [0] * len(ns)    # t = 1 is a root of both
+        return
+    if _last_sweep[0] != tuple(g):
+        _last_sweep = (tuple(g), {}, [0])
+    _, known, held = _last_sweep
+    hits = {n: known[n] for n in ns if n in known}
+    missing = [n for n in ns if n not in hits]
+    fresh = _sweep_kernel(g, missing)
+    r1 = (-1) ** (len(g) - 1) * sum(g)     # R(g, t - 1)
+    for n in ns:
+        if n in hits:
+            value = hits[n]
+        else:
+            value = next(fresh)
+            bits = value.bit_length()
+            if n not in known and held[0] + bits <= _MEMO_BITS:
+                known[n] = value
+                held[0] += bits
+        if variant == "ones":
+            value, r = divmod(n**m * value, r1)
             if r:
-                raise ConvergenceError("Newton's identity left a remainder")
-            chi.append(c)
-            value = value * x + c
-        value, r = divmod((-1) ** e * value * x, x**e)
-        if not r and variant == "ones":
-            value, r = divmod(n**m * value, (-1) ** e * sum(g))
-        if r:
-            raise ConvergenceError("companion scaling must divide exactly")
+                raise ConvergenceError("companion scaling must divide exactly")
         yield value
 
 

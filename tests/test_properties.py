@@ -152,6 +152,27 @@ def test_cyclic_resultant_sweep_matches_binary_powering(f, m, ns, variant):
         [cyclic_resultant(f, n, variant) for n in ns]
 
 
+@settings(max_examples=40, deadline=None)
+@given(laurent_polynomials(max_deg=8, height=9),
+       laurent_polynomials(max_deg=8, height=9),
+       st.lists(st.tuples(st.sets(st.integers(1, 40), min_size=1, max_size=10),
+                          st.integers(0, 2), st.sampled_from(["ones", "full"]),
+                          st.booleans()),
+                min_size=2, max_size=3))
+def test_sweeps_served_from_the_memo_match_binary_powering(f, other, calls):
+    # sweeps of one (t - 1)-free part g over overlapping n, each with its
+    # own (t - 1)^m and variant, hit the kept values fully, partly or not
+    # at all; a sweep of another polynomial consumed in step evicts g
+    for ns, m, variant, interleave in calls:
+        ns = sorted(ns)
+        polys = [f * LaurentPolynomial({1: 1, 0: -1}) ** m, other]
+        polys = polys[:1 + interleave]
+        got = zip(*(cyclic_resultant_sweep(h, ns, variant) for h in polys))
+        want = zip(*([cyclic_resultant(h, n, variant) for n in ns]
+                     for h in polys))
+        assert list(got) == list(want)
+
+
 @st.composite
 def tower_inputs(draw):
     """(f, n, p) with p | lead only, p at both ends, p | content, or

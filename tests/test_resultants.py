@@ -11,9 +11,15 @@ from padic_mahler.errors import (
     DomainError,
     ZeroPolynomialError,
 )
-from padic_mahler.ntheory import vp_int
+from padic_mahler.mahler import resultant_limit_estimate
+from padic_mahler.ntheory import INFINITY, vp_int
 from padic_mahler.parsing import parse_laurent
 from padic_mahler.polynomials import LaurentPolynomial, normalize
+from padic_mahler.pure import (
+    pure_entropy,
+    pure_link_growth,
+    pure_log_mahler_estimate,
+)
 from padic_mahler.resultants import (
     bareiss_determinant,
     cyclic_resultant,
@@ -326,17 +332,20 @@ class TestSweep:
             values = list(cyclic_resultant_sweep(f, range(1, 50), variant))
             assert len(values) == 49
 
-    def test_dense_degree_40_within_budget(self):
+    def test_dense_degree_40_within_budget(self, monkeypatch):
         # n = 1..120 at degree 40, both variants: about 1 s by the traces,
-        # against about a minute with a Bareiss determinant per n
+        # against about a minute with a Bareiss determinant per n; each
+        # variant sweeps cold, with no values kept from the other
         rng = random.Random(40)
         f = LaurentPolynomial({e: rng.randint(-9, 9) for e in range(40)})
         f = f + LaurentPolynomial({40: 3})
         ns = range(1, 121)
-        start = time.perf_counter()
-        sweeps = {variant: list(cyclic_resultant_sweep(f, ns, variant))
-                  for variant in ("ones", "full")}
-        elapsed = time.perf_counter() - start
+        sweeps, elapsed = {}, 0.0
+        for variant in ("ones", "full"):
+            monkeypatch.setattr(resultants, "_last_sweep", ((), {}, [0]))
+            start = time.perf_counter()
+            sweeps[variant] = list(cyclic_resultant_sweep(f, ns, variant))
+            elapsed += time.perf_counter() - start
         assert elapsed < 10.0, f"degree-40 sweep took {elapsed:.1f} s"
         for n in (1, 2, 3, 11):
             for variant, values in sweeps.items():
@@ -368,6 +377,56 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
         assert values[-1] == cyclic_resultant(f, 2999, "full")
+
+
+class TestSweepMemo:
+    """The sweep keeps R(g, t^n - 1) of the last (t - 1)-free part g."""
+
+    F, P = "(3*t-1)*(t-3)*(9*t+2)*(t-6)", 3
+
+    @pytest.fixture
+    def kernel_runs(self, monkeypatch):
+        runs = []
+        real = resultants._sweep_kernel
+
+        def spy(g, ns):     # a run is counted once the kernel is read
+            runs.append(ns)
+            yield from real(g, ns)
+
+        monkeypatch.setattr(resultants, "_sweep_kernel", spy)
+        return runs
+
+    @pytest.mark.parametrize("call", [
+        lambda f, p: resultant_limit_estimate(f, p, 120),
+        lambda f, p: pure_log_mahler_estimate(f, p, 110),
+        lambda f, p: pure_entropy(f, p, solenoid_convention=True),
+        lambda f, p: pure_link_growth(f * parse_laurent("t - 1"), 2, p),
+    ], ids=["padic_limit", "pure_estimate", "pure_entropy", "link_growth"])
+    def test_estimators_of_one_f_share_one_sweep(self, kernel_runs, call):
+        f = parse_laurent(self.F)
+        resultant_limit_estimate(f, INFINITY, 120)
+        assert kernel_runs == [list(range(1, 121))]
+        call(f, self.P)
+        assert len(kernel_runs) == 1
+        resultant_limit_estimate(parse_laurent("t^2 - 3*t + 1"), INFINITY, 8)
+        kernel_runs.clear()
+        call(f, self.P)
+        assert len(kernel_runs) == 1
+
+    def test_memo_is_bounded(self):
+        # R(t - 2^1000, t^n - 1) = 1 - 2^(1000 n): 8.5 M bits for n <= 130
+        f = parse_laurent("t - 2^1000")
+        ns = range(1, 131)
+        full = list(cyclic_resultant_sweep(f, ns, "full"))
+        assert sum(abs(v).bit_length() for v in full) > resultants._MEMO_BITS
+        assert full == [cyclic_resultant(f, n, "full") for n in ns]
+        # the kept n from the memo, those past the bound swept again
+        assert list(cyclic_resultant_sweep(f, ns, "ones")) == \
+            [cyclic_resultant(f, n, "ones") for n in ns]
+        key, known, held = resultants._last_sweep
+        assert key == (-(2**1000), 1)
+        assert held == [sum(v.bit_length() for v in known.values())]
+        assert 0 < held[0] <= resultants._MEMO_BITS
 
 
 class TestValuationPath:
