@@ -41,7 +41,6 @@ from .padics import (
     PadicNumber,
     hensel_lift,
     padic_log,
-    padic_log_of_fraction,
     padic_log_of_int,
     teichmuller,
 )

@@ -239,10 +239,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _up_to_units_equal(f: LaurentPolynomial, g: LaurentPolynomial) -> bool:
-    return normalize(f) == normalize(g)
-
-
 def _check_claim(record: LinkRecord, claim: Claim, tol: float):
     """Returns (ok: bool, detail: str)."""
     params = claim.params
@@ -256,14 +252,14 @@ def _check_claim(record: LinkRecord, claim: Claim, tol: float):
     if kind == "reduced_form":
         expect = parse_laurent(params["expect"])
         got = record.derived_reduced(label)
-        ok = (_up_to_units_equal(got, expect) if params.get("up_to_units")
+        ok = (normalize(got) == normalize(expect) if params.get("up_to_units")
               else got == expect)
         return ok, f"substituted {got}, expected {params['expect']}"
 
     if kind == "alexander_form":
         expect = parse_laurent(params["expect"])
         got = record.alexander_polynomial(label)
-        return _up_to_units_equal(got, expect), \
+        return normalize(got) == normalize(expect), \
             f"A = {normalize(got)}, expected {params['expect']} up to units"
 
     if kind == "mu":

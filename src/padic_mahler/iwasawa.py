@@ -133,12 +133,10 @@ def fit_invariants(A: LaurentPolynomial, p: int, r_max: int = 6) -> IwasawaInvar
         raise ConvergenceError(
             f"no stable Iwasawa window up to r_max={r_max}; raise r_max")
     nu = e[-1] - lam * r_max - mu * p**r_max
-    r0 = r_max          # the model fits e_(r_max) by the choice of nu
+    # mu, lam and nu solve e at r_max - 2 .. r_max exactly, so r0 <= r_max - 2
+    r0 = r_max
     while r0 > 1 and e[r0 - 2] == lam * (r0 - 1) + mu * p**(r0 - 1) + nu:
         r0 -= 1
-    if r0 > r_max - 2:
-        raise ConvergenceError(
-            f"Iwasawa model only matches {r_max - r0 + 1} point(s); raise r_max")
     return IwasawaInvariants(p, lam, mu, nu, r0, "fitted")
 
 

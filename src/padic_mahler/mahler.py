@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError, ZeroPolynomialError
-from .ntheory import INFINITY, check_prime, vp_int
+from .ntheory import INFINITY, check_prime, doubling, vp_int
 from .polynomials import (LaurentPolynomial, _primitive, normalize_integral,
                           squarefree_split)
 from .resultants import cyclic_resultant_sweep
@@ -127,13 +127,13 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     roots are polished (Newton with Aberth's repulsion) on the primitive
     integer coefficients of a_i in fixed point, at POLISH_BITS bits more
     than the share asks for, the bits doubling while the disks overlap or
-    miss the share, up to POLISH_BITS_CAP; their radii bound the residual
-    radius from above.  A root silent in _root_contributions adds 0 and
-    keeps its disk, grown by the move onto the polish grid.  The error
-    bound covers the root enclosures and, as a rounding allowance,
-    (k + 1) ulp(M) for the k float roundings (each root log of a_i counted
-    i times), M the largest magnitude among the logs and the partial sums;
-    it is never 0.  A factor with Fujiwara's root bound below 1 adds
+    miss the share, up to POLISH_BITS_CAP, which is tried itself; their
+    radii bound the residual radius from above.  A root silent in
+    _root_contributions adds 0 and keeps its disk, grown by the move onto
+    the polish grid.  The error bound covers the root enclosures and, as a
+    rounding allowance, (k + 1) ulp(M) for the k float roundings (each root
+    log of a_i counted i times), M the largest magnitude among the logs
+    and the partial sums; it is never 0.  A factor with Fujiwara's root bound below 1 adds
     exactly 0; any other whose coefficients do not fit float64 is refused
     with ConvergenceError.
     """
@@ -162,13 +162,13 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
             raise ConvergenceError(
                 "a squarefree factor has coefficients beyond float64") from None
         centres, bits = dyadic(roots)
-        target = POLISH_BITS + max(0, -math.frexp(budget)[1])
-        while True:
+        start = POLISH_BITS + max(0, -math.frexp(budget)[1])
+        for target in [*doubling(start, POLISH_BITS_CAP), None]:
             contrib, err, count, silent = _root_contributions(centres, radii,
                                                               bits)
             if err <= budget:
                 break
-            if target > POLISH_BITS_CAP:
+            if target is None:
                 raise ConvergenceError(
                     "root finder could not certify the requested tolerance")
             # the new grid moves a centre by < sqrt(2) of its units, which
@@ -177,7 +177,7 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
                        for x, y in centres]
             radii = [math.nextafter(r + 2.0 ** (1 - target), math.inf)
                      for r in radii]
-            bits, target = target, 2 * target
+            bits = target
             centres, polished = polish_roots(_primitive(coeffs)[2], centres,
                                              bits, silent)
             radii = [r if s is None else s for r, s in zip(radii, polished)]
@@ -274,8 +274,6 @@ def resultant_limit_estimate(f: LaurentPolynomial, place, n_max: int = 100,
         else:
             report.samples.append((n, math.log(abs(r)) / n))
     chosen = report.estimates(coprime_only=skip_p_multiples)
-    if not chosen:
-        raise DomainError("every resultant in range vanished")
     tail = chosen[-max(1, len(chosen) // 4):]
     values = sorted(est for _, est in tail)
     report.limit = values[len(values) // 2]

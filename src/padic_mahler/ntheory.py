@@ -66,8 +66,12 @@ def vp(x, p: int):
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
-def modinv(a: int, m: int) -> int:
-    return pow(a, -1, m)
+def doubling(start: int, cap: int):
+    """Yield start, 2 start, 4 start, .. while below cap, then cap."""
+    while start < cap:
+        yield start
+        start *= 2
+    yield cap
 
 
 _TRIAL_BOUND = 1 << 8

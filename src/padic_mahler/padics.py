@@ -19,7 +19,7 @@ from .errors import (
     HenselError,
     PrecisionError,
 )
-from .ntheory import INFINITY, check_prime, modinv, vp_int
+from .ntheory import INFINITY, check_prime, doubling, vp_int
 from .polynomials import (LaurentPolynomial, _derivative, _horner, _poly_add,
                           _poly_divmod, _poly_mul, _poly_sub,
                           normalize_integral)
@@ -76,7 +76,7 @@ class PadicNumber:
         mod = p**N
         num_unit = (x.numerator // p**vn) % mod
         den_unit = (x.denominator // p**vd) % mod
-        return cls(p, vn - vd, num_unit * modinv(den_unit, mod) % mod, N)
+        return cls(p, vn - vd, num_unit * pow(den_unit, -1, mod) % mod, N)
 
     @classmethod
     def one(cls, p: int, N: int) -> "PadicNumber":
@@ -150,7 +150,7 @@ class PadicNumber:
         if self.is_zero:
             raise DomainError("cannot invert a tracked zero")
         return PadicNumber(self.p, -self.v,
-                           modinv(self.unit, self.p**self.N), self.N)
+                           pow(self.unit, -1, self.p**self.N), self.N)
 
     def __truediv__(self, other: "PadicNumber") -> "PadicNumber":
         return self * other.inverse()
@@ -260,7 +260,7 @@ def hensel_lift(f: LaurentPolynomial, p: int, start: int,
             break
         dfx = _horner(deriv, x) % mod
         scale = p**e
-        q = (fx // scale) * modinv((dfx // scale) % mod, mod) % mod
+        q = (fx // scale) * pow((dfx // scale) % mod, -1, mod) % mod
         x = (x - q) % mod
     fx_final = _horner(coeffs, x)
     achieved = vp_int(fx_final % mod, p)
@@ -293,21 +293,19 @@ def _unit_root_factor(F, p: int, K: int):
     i0, i1 = units[0], units[-1]
     if i0 == 0 and i1 == len(F) - 1:
         mod = p**K
-        c_inv = modinv(F[i1], mod)
+        c_inv = pow(F[i1], -1, mod)
         return [x * c_inv % mod for x in F]
-    c_inv = modinv(F[i1] % p, p)
+    c_inv = pow(F[i1] % p, -1, p)
     h = [x * c_inv % p for x in F[i0:i1 + 1]]       # f0 mod p
     g = [0] * i0 + [F[i1] % p]                      # c t^i0
     # s = (c t^i0)^(-1) mod h: i0 exact divisions by t mod h, h(0) != 0
-    s, h0_inv = [c_inv], modinv(h[0], p)
+    s, h0_inv = [c_inv], pow(h[0], -1, p)
     for _ in range(i0):
         lam = s[0] * h0_inv
         s = _poly_sub(s, [lam * y for y in h], p)[1:]
     # t = (1 - s g) / h, an exact division since s g = 1 mod h
     t, _ = _poly_divmod(_poly_sub([1], _poly_mul(s, g, p), p), h, p)
-    k = 1
-    while k < K:
-        k = min(2 * k, K)
+    for k in doubling(2, K):
         mod = p**k
         # F = g h + e, s g + t h = 1 + b, both corrections = 0 mod p^(k/2)
         e = _poly_sub(F, _poly_mul(g, h, mod), mod)
@@ -370,7 +368,7 @@ def _log_one_plus(z: int, p: int, K: int) -> PadicNumber:
     for k in range(1, stop):
         zk = zk * z % wide
         vk = vp_int(k, p)
-        term = zk // p**vk * modinv(k // p**vk, mod)
+        term = zk // p**vk * pow(k // p**vk, -1, mod)
         total += term if k % 2 else -term
     total %= mod
     if total == 0:
@@ -396,10 +394,3 @@ def padic_log_of_int(n: int, p: int, N: int) -> PadicNumber:
     if n == 0:
         raise DomainError("logarithm of zero")
     return padic_log(PadicNumber.from_int(abs(n), p, N))
-
-
-def padic_log_of_fraction(x, p: int, N: int) -> PadicNumber:
-    x = Fraction(x)
-    if x == 0:
-        raise DomainError("logarithm of zero")
-    return padic_log(PadicNumber.from_fraction(abs(x), p, N))

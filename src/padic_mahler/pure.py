@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DomainError, PrecisionError
-from .ntheory import check_prime, modinv, vp_int
+from .ntheory import check_prime, vp_int
 from .padics import PadicNumber, hensel_lift, padic_log, padic_log_of_int
 from .polynomials import (
     LaurentPolynomial,
@@ -89,7 +89,7 @@ def _defined_integral(f, p):
 
 def _log_over_n(r: int, n: int, p: int, precision: int) -> PadicNumber:
     """(1/n) log_p r for a nonzero integer r and n coprime to p."""
-    inv_n = PadicNumber(p, 0, modinv(n, p**precision), precision)
+    inv_n = PadicNumber(p, 0, pow(n, -1, p**precision), precision)
     return padic_log_of_int(r, p, precision) * inv_n
 
 

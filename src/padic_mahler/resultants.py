@@ -16,8 +16,8 @@ the determinant of the Sylvester matrix.  Three routes are kept:
   which reads the characteristic polynomial of B^n off the power sums of
   the roots of F by Newton's identities and takes no determinant.  It
   keeps the exact R(g, t^n - 1) of the last (t - 1)-free part g it swept,
-  up to 2^23 bits (1 MiB) of them, and runs the recurrence only for the
-  n they miss; what it yields equals a cold sweep.
+  up to 2^23 bits (1 MiB) of them, and serves a request from them only
+  when they hold every n asked for; what it yields equals a cold sweep.
 
 The three agree, and the test suite checks that they do.  Modulo p^K,
 cyclic_resultant_valuation reads each step's valuation off a pivoted
@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import ConvergenceError, DomainError
-from .ntheory import check_prime, vp_int
+from .ntheory import check_prime, doubling, vp_int
 from .padics import _unit_root_factor
 from .polynomials import (
     LaurentPolynomial,
@@ -313,12 +313,12 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     sparse ones such as the purely p-adic stabilization window are served
     alike; one isolated large n is cheaper by cyclic_resultant.
 
-    The exact R(g, t^n - 1) of the last g swept are kept, so the
-    estimators that read one f in turn run the recurrence only for the n
-    no earlier sweep of g reached; the values are those a cold sweep
-    yields.  A sweep of another g replaces them, and they are kept only
-    while their bit lengths sum to at most _MEMO_BITS (1 MiB); later ones
-    are still yielded.
+    The exact R(g, t^n - 1) of the last g swept are kept, so the next
+    estimator that reads the same f runs no recurrence when they hold
+    every n it asks for; if one n is missing, the whole request is swept
+    again.  The values are those a cold sweep yields.  A sweep of another
+    g replaces them, and they are kept only while their bit lengths sum
+    to at most _MEMO_BITS (1 MiB); later ones are still yielded.
     """
     global _last_sweep
     _check_variant(variant)
@@ -333,19 +333,14 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     if _last_sweep[0] != tuple(g):
         _last_sweep = (tuple(g), {}, [0])
     _, known, held = _last_sweep
-    hits = {n: known[n] for n in ns if n in known}
-    missing = [n for n in ns if n not in hits]
-    fresh = _sweep_kernel(g, missing)
+    values = ([known[n] for n in ns] if all(n in known for n in ns)
+              else _sweep_kernel(g, ns))
     r1 = (-1) ** (len(g) - 1) * sum(g)     # R(g, t - 1)
-    for n in ns:
-        if n in hits:
-            value = hits[n]
-        else:
-            value = next(fresh)
-            bits = value.bit_length()
-            if n not in known and held[0] + bits <= _MEMO_BITS:
-                known[n] = value
-                held[0] += bits
+    for n, value in zip(ns, values):
+        bits = value.bit_length()
+        if n not in known and held[0] + bits <= _MEMO_BITS:
+            known[n] = value
+            held[0] += bits
         if variant == "ones":
             value, r = divmod(n**m * value, r1)
             if r:
@@ -402,7 +397,7 @@ def cyclic_resultant_valuation(f: LaurentPolynomial, ns, p: int):
     if d0 == 0:  # no unit roots: R(f0, nu_n) = 1
         return [(n - 1) * mu for n in ns]
     cap = ((d0 + 2) * (ns[-1].bit_length() + 8) + 32) << 7
-    for K in [1 << k for k in range(4, (cap - 1).bit_length())] + [cap]:
+    for K in doubling(16, cap):
         mod = p**K
         f0 = _unit_root_factor(coeffs, p, K)
         P, out, v = [0, 1], [], 0

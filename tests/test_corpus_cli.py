@@ -255,6 +255,15 @@ EXIT_CODE_CASES = [
     (["homology", "--poly", "t^2-3*t+1", "--n", "10000"], 0),
     (["mahler", "--poly", "(t-1)^1100"], 0),
     (["mahler", "--poly", "(t-1)^("], 3),
+    (["mahler", "--poly", "(t"], 3),
+    (["mahler", "--poly", "x*y"], 4),
+    # a root 10^-200 off the unit circle certifies at the 1024-bit cap;
+    # 10^-320 needs more
+    (["mahler", "--poly", "(t-1)*(t-1-1/10^200)"], 0),
+    (["mahler", "--poly", "(t-1)*(t-1-1/10^320)"], 6),
+    (["mp", "--poly", "(3*t-1)*(3*t-4)*(t-3)", "--prime", "3"], 0),
+    (["growth", "--poly", "t-3", "--place", "inf", "--pure"], 4),
+    (["iwasawa", "--poly", "3*t^3+t-18", "--prime", "2", "--rmax", "3"], 6),
     # nested past the parser's limit: a parse error, not a RecursionError
     (["mahler", "--poly", "(" * 300 + "t" + ")" * 300], 3),
     (["mp", "--poly", "t^2-2*t+4", "--prime", "2", "--nbudget", "3"], 4),
@@ -334,6 +343,14 @@ class TestCli:
                      "--precision", "24"]) == 0
         out = capsys.readouterr().out
         assert "agreement" in out
+
+    def test_mp_without_closed_form(self, capsys):
+        # the roots 1/3 and 4/3 meet mod 3 after scaling: the estimator
+        # answers alone and says why no closed form backs it
+        assert main(["mp", "--poly", "(3*t-1)*(3*t-4)*(t-3)",
+                     "--prime", "3"]) == 0
+        assert "closed form unavailable: residual polynomial does not " \
+            "split" in capsys.readouterr().out
 
     def test_mp_large_budget(self, capsys):
         # only the 8-sample window is swept and logged, so a budget of

@@ -274,6 +274,27 @@ class TestEuclidean:
         m = mahler_euclidean(f, 1e-9)
         assert honest(m.value, m.error, mpmath_log_mahler(f))
 
+    def test_last_polish_runs_at_the_cap(self, monkeypatch):
+        # at tol 1e-12 the polish starts at 72 bits; 1152 would pass
+        # POLISH_BITS_CAP, so the cap itself is the last round
+        rounds = []
+        polish = mahler.polish_roots
+        monkeypatch.setattr(
+            mahler, "polish_roots",
+            lambda q, c, bits, fixed: rounds.append(bits)
+            or polish(q, c, bits, fixed))
+        m = mahler_euclidean(P("(t-1)*(t-1-1/10^200)"), 1e-12)
+        assert rounds == [72, 144, 288, 576, mahler.POLISH_BITS_CAP]
+        with mpmath.workdps(250):
+            truth = mpmath.log1p(mpmath.mpf(10) ** -200)
+            assert abs(mpmath.mpf(m.value) - truth) <= mpmath.mpf(m.error)
+        assert m.error <= 1e-12
+        # a root 10^-320 off the unit circle needs more than the cap
+        rounds.clear()
+        with pytest.raises(ConvergenceError):
+            mahler_euclidean(P("(t-1)*(t-1-1/10^320)"), 1e-12)
+        assert rounds[-1] == mahler.POLISH_BITS_CAP
+
     def test_overlapping_disks_certify_nothing(self):
         # two disks that meet may share one root and miss another
         centres, bits = dyadic([1.5, 1.5 + 1e-9])
@@ -592,6 +613,15 @@ class TestEstimator:
     def test_small_n_max_rejected(self):
         with pytest.raises(DomainError):
             resultant_limit_estimate(P("t - 2"), INFINITY, 4)
+
+    @pytest.mark.parametrize("place", [INFINITY, 2, 3])
+    def test_first_sample_is_n_one(self, place):
+        # R(f, nu_1) = R(f, 1) = 1 != 0 and gcd(1, p) = 1, so every
+        # sweep has an estimate to extrapolate from
+        for text in ("2*t^2 - 2*t + 2", "t - 1", "6*t^3 - 4*t + 3"):
+            rep = resultant_limit_estimate(P(text), place, 8,
+                                           skip_p_multiples=True)
+            assert rep.samples[0][:2] == (1, 0.0)
 
     def test_tail_band_shrinks_off_the_unit_circle(self):
         # no roots on |z| = 1: the last-quartile estimates must hug the

@@ -11,7 +11,6 @@ from padic_mahler.padics import (
     _unit_root_factor,
     hensel_lift,
     padic_log,
-    padic_log_of_fraction,
     padic_log_of_int,
     teichmuller,
 )
@@ -246,13 +245,10 @@ class TestLog:
                 y = PadicNumber(p, 0, u2, N)
                 assert (padic_log(x * y) - (padic_log(x) + padic_log(y))).is_zero
 
-    def test_log_of_int_and_fraction(self):
+    def test_log_of_int_is_additive(self):
         a = padic_log_of_int(6, 5, 10)
         b = padic_log_of_int(2, 5, 10) + padic_log_of_int(3, 5, 10)
         assert (a - b).is_zero
-        c = padic_log_of_fraction(Fraction(2, 3), 5, 10)
-        d = padic_log_of_int(2, 5, 10) - padic_log_of_int(3, 5, 10)
-        assert (c - d).is_zero
 
     def test_log_rejects_zero(self):
         with pytest.raises(DomainError):

@@ -89,6 +89,16 @@ class TestParsing:
         assert f == g and hash(f) == hash(g)
         assert len({f, g}) == 1
 
+    def test_equal_multivariate_polynomials_hash_equal(self):
+        f, g = parse_polynomial("x*y+1"), parse_polynomial("1+y*x")
+        assert isinstance(f, MultivariatePolynomial)
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+        # the same terms over other variables are another polynomial
+        h = parse_polynomial("x*z+1")
+        assert h.terms == f.terms and h.variables != f.variables
+        assert h != f and len({f, g, h}) == 2
+
     @pytest.mark.parametrize("value", [3, -7, 0, Fraction(5, 2)])
     def test_constant_hashes_as_its_value(self, value):
         # a constant compares equal to its int or Fraction value

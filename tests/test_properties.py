@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from padic_mahler import pure
 from padic_mahler.entropy import entropy_padic
-from padic_mahler.errors import ConvergenceError
+from padic_mahler.errors import ConvergenceError, DomainError
 from padic_mahler.iwasawa import (
     _divisible_by_p_power_cyclotomic,
+    fit_invariants,
     lambda_invariant,
     mu_invariant,
 )
@@ -161,8 +162,9 @@ def test_cyclic_resultant_sweep_matches_binary_powering(f, m, ns, variant):
                 min_size=2, max_size=3))
 def test_sweeps_served_from_the_memo_match_binary_powering(f, other, calls):
     # sweeps of one (t - 1)-free part g over overlapping n, each with its
-    # own (t - 1)^m and variant, hit the kept values fully, partly or not
-    # at all; a sweep of another polynomial consumed in step evicts g
+    # own (t - 1)^m and variant, are served from the kept values when they
+    # hold every n, else swept whole; a sweep of another polynomial
+    # consumed in step evicts g
     for ns, m, variant, interleave in calls:
         ns = sorted(ns)
         polys = [f * LaurentPolynomial({1: 1, 0: -1}) ** m, other]
@@ -216,6 +218,19 @@ def test_tower_valuations_along_divisor_chains(inputs, m, length):
     assume(0 not in exact)
     assert cyclic_resultant_valuation(f, ns, p) == [vp_int(x, p)
                                                     for x in exact]
+
+
+@settings(max_examples=40, deadline=None)
+@given(tower_inputs(), st.integers(3, 5))
+def test_fitted_window_spans_three_points(inputs, r_max):
+    """mu, lambda and nu solve e_(r_max - 2) .. e_(r_max) exactly, so a
+    fit that returns has r0 <= r_max - 2."""
+    f, _, p = inputs
+    try:
+        inv = fit_invariants(f, p, r_max)
+    except (ConvergenceError, DomainError):
+        return
+    assert inv.r0 <= r_max - 2
 
 
 @st.composite

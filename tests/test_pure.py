@@ -172,6 +172,15 @@ class TestPureEntropy:
         res = pure_entropy(P("1"), 5, n_budget=60, precision=12)
         assert res.value.is_zero
 
+    def test_closed_form_unavailable_is_recorded(self):
+        # 3 * (1/3) = 1 and 3 * (4/3) = 4 meet mod 3, so the residual
+        # polynomial of their slope has a double root and the closed form
+        # refuses; the estimator still answers
+        res = pure_entropy(P("(3*t-1)*(3*t-4)*(t-3)"), 3,
+                           solenoid_convention=True)
+        assert res.data["measure_agreement_digits"] == \
+            "closed form unavailable"
+
 
 class TestLinkGrowth:
     def test_knot_reduces_to_measure(self):

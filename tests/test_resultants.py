@@ -420,7 +420,8 @@ class TestSweepMemo:
         full = list(cyclic_resultant_sweep(f, ns, "full"))
         assert sum(abs(v).bit_length() for v in full) > resultants._MEMO_BITS
         assert full == [cyclic_resultant(f, n, "full") for n in ns]
-        # the kept n from the memo, those past the bound swept again
+        # n past the bound are missing from the memo, so the whole request
+        # is swept again
         assert list(cyclic_resultant_sweep(f, ns, "ones")) == \
             [cyclic_resultant(f, n, "ones") for n in ns]
         key, known, held = resultants._last_sweep
