@@ -8,6 +8,12 @@ complex roots rather than contour integration.  The p-adic log measure is
 the Newton-polygon product on every call.  Both are the limits of
 |R(f, nu_n)|^(1/n) at the respective places, and resultant_limit_estimate
 exhibits that convergence with exact resultants.
+
+The Euclidean measure keeps the float roots of the last polynomial it
+measured, so a second measure of it (entropy_total reconciles h against
+the measure just taken) runs no root pass.  The roots are a deterministic
+function of a factor's exact coefficients, so a warm call returns what a
+cold one does, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +34,11 @@ from .valuations import gauss_norm_valuation, gauss_valuation_from_polygon
 # tol, and the most bits tried before a refusal
 POLISH_BITS = 32
 POLISH_BITS_CAP = 1024
+
+# The float roots of the last mahler_euclidean call's measured factors:
+# {ascending coefficients of a factor: (roots, radii) from aberth_roots},
+# rebound whole when a call returns, so it holds one polynomial's factors
+_last_roots = {}
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,7 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     """Euclidean log Mahler measure, certified to absolute error <= tol.
 
     log M(f) = log|lead f| + sum_i i * log M(a_i) over Yun's squarefree
-    split f = lead * prod a_i^i, with one root pass per distinct factor.
+    split f = lead * prod a_i^i, with at most one root pass per factor.
     A factor is measured from its float64 roots, taken as exact dyadic
     centres, when their a-priori radii certify its share of tol.  Else the
     roots are polished (Newton with Aberth's repulsion) on the primitive
@@ -133,10 +144,20 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     the polish grid.  The error bound covers the root enclosures and, as a
     rounding allowance, (k + 1) ulp(M) for the k float roundings (each root
     log of a_i counted i times), M the largest magnitude among the logs
-    and the partial sums; it is never 0.  A factor with Fujiwara's root bound below 1 adds
-    exactly 0; any other whose coefficients do not fit float64 is refused
-    with ConvergenceError.
+    and the partial sums; it is never 0.  A factor with Fujiwara's root
+    bound below 1 adds exactly 0; any other whose coefficients do not fit
+    float64 is refused with ConvergenceError.
+
+    A call that returns keeps (roots, radii) of each factor it ran
+    aberth_roots on in _last_roots, keyed by the factor's exact ascending
+    coefficients, and drops what an earlier call kept; the next call
+    reuses them for an equal factor.  The polish is not kept, since its
+    schedule depends on tol.  aberth_roots is a deterministic function of
+    the float coefficients, so a kept pair is the very pair a fresh pass
+    would return, and every value, bound and refusal of a warm call
+    equals a cold call's.
     """
+    global _last_roots
     if f.is_zero:
         raise ZeroPolynomialError("Mahler measure of the zero polynomial")
     if not tol > 0:
@@ -149,6 +170,7 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     logs = 2        # float roundings in value
     peak = max(num_log, den_log)
     pairs = squarefree_split(f)
+    kept = {}
     for a, i in pairs:
         budget = tol / (2.0 * len(pairs) * i)
         coeffs = a.coefficients_ascending()
@@ -156,11 +178,17 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
         if all(abs(c) * 2 ** (len(coeffs) - 1 - k - (k == 0)) < 1
                for k, c in enumerate(coeffs[:-1])):
             continue
-        try:
-            roots, radii = aberth_roots([float(c) for c in coeffs])
-        except OverflowError:
-            raise ConvergenceError(
-                "a squarefree factor has coefficients beyond float64") from None
+        key = tuple(coeffs)
+        if key in _last_roots:
+            kept[key] = _last_roots[key]
+        else:
+            try:
+                roots, radii = aberth_roots([float(c) for c in coeffs])
+            except OverflowError:
+                raise ConvergenceError("a squarefree factor has "
+                                       "coefficients beyond float64") from None
+            kept[key] = (tuple(roots), tuple(radii))
+        roots, radii = kept[key]
         centres, bits = dyadic(roots)
         start = POLISH_BITS + max(0, -math.frexp(budget)[1])
         for target in [*doubling(start, POLISH_BITS_CAP), None]:
@@ -191,6 +219,7 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     if error > tol:
         raise ConvergenceError(
             "rounding allowance exceeds the requested tolerance")
+    _last_roots = kept
     return LogMeasure.infinite(value, error)
 
 

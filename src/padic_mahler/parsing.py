@@ -51,7 +51,9 @@ def _tokenize(text: str):
 class _Parser:
     """Recursive descent over a generic sparse multivariate representation:
     {exponent tuple over the sorted identifiers of the text: int or
-    Fraction}; only a/b and negative powers make Fractions."""
+    Fraction}; only a/b and negative powers make Fractions.  A power of a
+    single term c * x^e is formed directly as c^k * x^(e * k); any other
+    base is raised by binary powering."""
 
     def __init__(self, text: str):
         self.text = text
@@ -99,7 +101,8 @@ class _Parser:
         out = {}
         for k1, v1 in a.items():
             for k2, v2 in b.items():
-                key = tuple(map(add, k1, k2))
+                key = ((k1[0] + k2[0],) if len(k1) == 1
+                       else tuple(map(add, k1, k2)))
                 s = out.get(key, 0) + v1 * v2
                 if s == 0:
                     out.pop(key, None)
@@ -108,19 +111,20 @@ class _Parser:
         return out
 
     def _pow(self, base, k, pos):
-        if k >= 0:
-            result = self._const(1)
-            while k:
-                if k & 1:
-                    result = self._mul(result, base)
-                k >>= 1
-                if k:
-                    base = self._mul(base, base)
-            return result
-        if len(base) != 1:
+        if len(base) == 1:
+            (key, coeff), = base.items()
+            return {tuple(e * k for e in key):
+                    coeff**k if k >= 0 else Fraction(coeff)**k}
+        if k < 0:
             raise ParseError("negative power of a non-monomial", pos)
-        (key, coeff), = base.items()
-        return {tuple(e * k for e in key): Fraction(coeff)**k}
+        result = self._const(1)
+        while k:
+            if k & 1:
+                result = self._mul(result, base)
+            k >>= 1
+            if k:
+                base = self._mul(base, base)
+        return result
 
     # grammar ----------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from padic_mahler import mahler, roots
 from padic_mahler.cli import main
+from padic_mahler.entropy import entropy_total
 from padic_mahler.errors import (
     ConvergenceError,
     DomainError,
@@ -29,7 +31,11 @@ from padic_mahler.mahler import (
 )
 from padic_mahler.ntheory import INFINITY, vp_int
 from padic_mahler.parsing import parse_laurent
-from padic_mahler.polynomials import LaurentPolynomial, normalize
+from padic_mahler.polynomials import (
+    LaurentPolynomial,
+    normalize,
+    squarefree_split,
+)
 from padic_mahler.resultants import cyclic_resultant
 from padic_mahler.roots import aberth_roots, dyadic
 
@@ -486,6 +492,91 @@ def test_euclidean_measure_against_40_digit_oracle(f, tol):
         return
     assert m.error <= tol
     assert honest(m.value, m.error, mpmath_log_mahler(f))
+
+
+def _measured(f, tol):
+    """(value, error) of mahler_euclidean, or the refusal's message."""
+    try:
+        m = mahler_euclidean(f, tol)
+    except ConvergenceError as exc:
+        return str(exc)
+    return m.value, m.error
+
+
+@settings(max_examples=40, deadline=None)
+@given(measured_polynomials(), measured_polynomials(),
+       st.sampled_from(["f", "f*h", "g"]), st.sampled_from([1e-9, 1e-12]))
+def test_warm_measure_equals_cold(f, h, before, tol):
+    # kept roots are the very roots a fresh pass finds, whatever an earlier
+    # call on f, on a multiple of f or on another polynomial left behind
+    mahler._last_roots = {}
+    cold = _measured(f, tol)
+    _measured({"f": f, "f*h": f * h, "g": h}[before], 1e-14)
+    assert _measured(f, tol) == cold
+
+
+class TestRootMemo:
+    def spy(self, monkeypatch):
+        calls = []
+
+        def counting(coeffs):
+            calls.append(coeffs)
+            return aberth_roots(coeffs)
+
+        monkeypatch.setattr(mahler, "aberth_roots", counting)
+        return calls
+
+    def test_entropy_after_measure_runs_no_root_pass(self, monkeypatch):
+        f = P("6*(t-1)^3*(t^2-3*t+1)^2*(2*t^3-t-1)")
+        cold = entropy_total(f, 1e-12)
+        monkeypatch.setattr(mahler, "_last_roots", {})
+        mahler_euclidean(f, 1e-12)
+        calls = self.spy(monkeypatch)
+        warm = entropy_total(f, 1e-12)
+        assert calls == []
+        for name in (fl.name for fl in dataclasses.fields(warm)):
+            assert getattr(warm, name) == getattr(cold, name), name
+
+    def test_keeps_exactly_the_last_polynomials_measured_factors(
+            self, monkeypatch):
+        # 4t - 1 is monic t - 1/4, inside the unit disk by Fujiwara's
+        # bound, so it runs no root pass and is not kept
+        calls = self.spy(monkeypatch)
+        mahler_euclidean(P("(t-1)^2*(t^2-3*t+1)*(4*t-1)^3"))
+        keys = {tuple(P(text).coefficients_ascending())
+                for text in ("t - 1", "t^2 - 3*t + 1")}
+        assert set(mahler._last_roots) == keys
+        assert sorted(map(len, calls)) == [2, 3]
+        # the next polynomial replaces them, reusing the one it shares
+        calls.clear()
+        mahler_euclidean(P("(t-1)^2*(t^3-t-1)"))
+        assert set(mahler._last_roots) == {
+            tuple(P(text).coefficients_ascending())
+            for text in ("t - 1", "t^3 - t - 1")}
+        assert [len(c) for c in calls] == [4]
+
+    def test_a_refusal_keeps_nothing(self):
+        mahler_euclidean(P("(t-1)*(t-1-1/10^200)"), 1e-12)
+        kept = dict(mahler._last_roots)
+        for text in ["(t-1)*(t-1-1/10^320)", "t^2 - 10^400*t + 1"]:
+            with pytest.raises(ConvergenceError):
+                mahler_euclidean(P(text), 1e-12)
+            assert mahler._last_roots == kept
+
+    def test_refusal_is_the_same_cold_and_warm(self, monkeypatch):
+        f = P("(t-1)*(t-1-1/10^320)")
+        with pytest.raises(ConvergenceError) as cold:
+            mahler_euclidean(f, 1e-12)
+        # warm: the memo holds f's own float roots, as a kept pass would
+        (a, _), = squarefree_split(f)
+        coeffs = a.coefficients_ascending()
+        roots_, radii = aberth_roots([float(c) for c in coeffs])
+        monkeypatch.setattr(mahler, "_last_roots",
+                            {tuple(coeffs): (tuple(roots_), tuple(radii))})
+        calls = self.spy(monkeypatch)
+        with pytest.raises(ConvergenceError) as warm:
+            mahler_euclidean(f, 1e-12)
+        assert calls == [] and str(warm.value) == str(cold.value)
 
 
 def test_measures_reference_errors_cover_the_truth():

@@ -116,6 +116,16 @@ class TestParsing:
     def test_power_of_sum(self):
         assert parse_polynomial("(t-1)^2").terms == {2: 1, 1: -2, 0: 1}
 
+    def test_power_of_a_multivariate_term(self):
+        assert parse_polynomial("(2*x*y^2)^3").terms == {(3, 6): 8}
+        assert parse_polynomial("(-x*y)^0") == LaurentPolynomial.constant(1)
+        with pytest.raises(DomainError):
+            parse_polynomial("(3*x^2*y)^-1")
+
+    def test_zero_to_the_zero_is_one(self):
+        assert parse_polynomial("0^0") == LaurentPolynomial.constant(1)
+        assert parse_polynomial("(t-t)^0") == LaurentPolynomial.constant(1)
+
     def test_high_power_matches_polynomial_power(self):
         assert parse_laurent("(t-1)^200") == parse_laurent("t-1") ** 200
 

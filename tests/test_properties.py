@@ -19,7 +19,7 @@ from padic_mahler.iwasawa import (
 from padic_mahler.mahler import mahler_padic
 from padic_mahler.ntheory import factorize, is_prime, vp, vp_int
 from padic_mahler.padics import PadicNumber, padic_log, teichmuller
-from padic_mahler.parsing import parse_polynomial
+from padic_mahler.parsing import parse_laurent, parse_polynomial
 from padic_mahler.polynomials import (
     LaurentPolynomial,
     _derivative,
@@ -61,6 +61,19 @@ def laurent_polynomials(draw, max_deg=6, height=20, allow_zero=False,
 @given(laurent_polynomials())
 def test_print_parse_round_trip(f):
     assert parse_polynomial(str(f)) == f
+
+
+@given(laurent_polynomials(max_deg=3, height=5), st.integers(0, 30))
+def test_parsed_power_equals_polynomial_power(g, k):
+    assert parse_laurent(f"({g})^{k}") == g**k
+
+
+@given(st.fractions(-50, 50).filter(bool), st.integers(-9, 9),
+       st.integers(0, 30))
+def test_parsed_power_of_a_term(c, e, k):
+    # a single term is raised directly, with negative exponents too
+    assert parse_laurent(f"({c}*t^{e})^{k}") == \
+        LaurentPolynomial({e * k: c**k})
 
 
 @given(laurent_polynomials(), primes)
