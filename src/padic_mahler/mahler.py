@@ -10,10 +10,10 @@ the Newton-polygon product on every call.  Both are the limits of
 exhibits that convergence with exact resultants.
 
 The Euclidean measure keeps the float roots of the last polynomial it
-measured, so a second measure of it (entropy_total reconciles h against
-the measure just taken) runs no root pass.  The roots are a deterministic
-function of a factor's exact coefficients, so a warm call returns what a
-cold one does, bit for bit.
+measured, keyed by each factor's integer coefficients, so a second
+measure of it (entropy_total reconciles h against the measure just taken)
+runs no root pass.  The roots are a deterministic function of those
+integers, so a warm call returns what a cold one does, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .ntheory import INFINITY, check_prime, doubling, vp_int
-from .polynomials import (LaurentPolynomial, _primitive, normalize_integral,
+from .polynomials import (LaurentPolynomial, normalize_integral,
                           squarefree_split)
 from .resultants import cyclic_resultant_sweep
 from .roots import aberth_roots, dyadic, polish_roots
@@ -36,7 +36,7 @@ POLISH_BITS = 32
 POLISH_BITS_CAP = 1024
 
 # The float roots of the last mahler_euclidean call's measured factors:
-# {ascending coefficients of a factor: (roots, radii) from aberth_roots},
+# {a factor's integer list q, as a tuple: (roots, radii) from aberth_roots},
 # rebound whole when a call returns, so it holds one polynomial's factors
 _last_roots = {}
 
@@ -131,31 +131,30 @@ def _root_contributions(centres, radii, bits):
 def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     """Euclidean log Mahler measure, certified to absolute error <= tol.
 
-    log M(f) = log|lead f| + sum_i i * log M(a_i) over Yun's squarefree
-    split f = lead * prod a_i^i, with at most one root pass per factor.
-    A factor is measured from its float64 roots, taken as exact dyadic
-    centres, when their a-priori radii certify its share of tol.  Else the
-    roots are polished (Newton with Aberth's repulsion) on the primitive
-    integer coefficients of a_i in fixed point, at POLISH_BITS bits more
-    than the share asks for, the bits doubling while the disks overlap or
-    miss the share, up to POLISH_BITS_CAP, which is tried itself; their
-    radii bound the residual radius from above.  A root silent in
-    _root_contributions adds 0 and keeps its disk, grown by the move onto
-    the polish grid.  The error bound covers the root enclosures and, as a
-    rounding allowance, (k + 1) ulp(M) for the k float roundings (each root
-    log of a_i counted i times), M the largest magnitude among the logs
-    and the partial sums; it is never 0.  A factor with Fujiwara's root
-    bound below 1 adds exactly 0; any other whose coefficients do not fit
-    float64 is refused with ConvergenceError.
+    log M(f) = log|lead f| + sum_i i * log M(q_i / lead(q_i)) over Yun's
+    split f = content * prod q_i^i into primitive integer lists q_i, with
+    at most one root pass per factor.  A factor is measured from the
+    float64 roots of q_i / lead(q_i), taken as exact dyadic centres, when
+    their a-priori radii certify its share of tol.  Else the roots are
+    polished (Newton with Aberth's repulsion) on q_i in fixed point, at
+    POLISH_BITS bits more than the share asks for, the bits doubling while
+    the disks overlap or miss the share, up to POLISH_BITS_CAP, which is
+    tried itself; their radii bound the residual radius from above.  A
+    root silent in _root_contributions adds 0 and keeps its disk, grown by
+    the move onto the polish grid.  The error bound covers the root
+    enclosures and, as a rounding allowance, (k + 1) ulp(M) for the k
+    float roundings (each root log of q_i counted i times), M the largest
+    magnitude among the logs and the partial sums; it is never 0.  A
+    factor with Fujiwara's root bound below 1 adds exactly 0; any other
+    whose coefficients do not fit float64 is refused with ConvergenceError.
 
     A call that returns keeps (roots, radii) of each factor it ran
-    aberth_roots on in _last_roots, keyed by the factor's exact ascending
-    coefficients, and drops what an earlier call kept; the next call
-    reuses them for an equal factor.  The polish is not kept, since its
-    schedule depends on tol.  aberth_roots is a deterministic function of
-    the float coefficients, so a kept pair is the very pair a fresh pass
-    would return, and every value, bound and refusal of a warm call
-    equals a cold call's.
+    aberth_roots on in _last_roots, keyed by the tuple of q_i, and drops
+    what an earlier call kept; the next call reuses them for an equal
+    factor.  The polish is not kept, since its schedule depends on tol.
+    aberth_roots is a deterministic function of the float coefficients,
+    so a kept pair is the very pair a fresh pass would return, and every
+    value, bound and refusal of a warm call equals a cold call's.
     """
     global _last_roots
     if f.is_zero:
@@ -171,19 +170,18 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     peak = max(num_log, den_log)
     pairs = squarefree_split(f)
     kept = {}
-    for a, i in pairs:
+    for q, i in pairs:
         budget = tol / (2.0 * len(pairs) * i)
-        coeffs = a.coefficients_ascending()
-        # Fujiwara's bound below 1: every root has |z| < 1, log M(a) = 0
-        if all(abs(c) * 2 ** (len(coeffs) - 1 - k - (k == 0)) < 1
-               for k, c in enumerate(coeffs[:-1])):
+        # Fujiwara's bound below 1: every root has |z| < 1, log M(q) = 0
+        if all(abs(c) << (len(q) - 1 - k - (k == 0)) < q[-1]
+               for k, c in enumerate(q[:-1])):
             continue
-        key = tuple(coeffs)
+        key = tuple(q)
         if key in _last_roots:
             kept[key] = _last_roots[key]
         else:
             try:
-                roots, radii = aberth_roots([float(c) for c in coeffs])
+                roots, radii = aberth_roots([c / q[-1] for c in q])
             except OverflowError:
                 raise ConvergenceError("a squarefree factor has "
                                        "coefficients beyond float64") from None
@@ -206,8 +204,7 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
             radii = [math.nextafter(r + 2.0 ** (1 - target), math.inf)
                      for r in radii]
             bits = target
-            centres, polished = polish_roots(_primitive(coeffs)[2], centres,
-                                             bits, silent)
+            centres, polished = polish_roots(q, centres, bits, silent)
             radii = [r if s is None else s for r, s in zip(radii, polished)]
         value += i * contrib
         error += i * err

@@ -58,11 +58,11 @@ def vp_int(n: int, p: int):
 
 
 def vp(x, p: int):
-    """p-adic valuation of an int or Fraction; vp(0) = INFINITY."""
+    """p-adic valuation of an int or Fraction (anything else is converted
+    by Fraction() first); vp(0) = INFINITY."""
     check_prime(p)
-    if isinstance(x, int):
-        return vp_int(x, p)
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 

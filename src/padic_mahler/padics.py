@@ -234,6 +234,8 @@ def hensel_lift(f: LaurentPolynomial, p: int, start: int,
     and the returned value satisfies v(f(root)) >= N + v(f'(root)) (checked).
     """
     check_prime(p)
+    if N < 1:
+        raise PrecisionError("precision must be at least 1 digit")
     coeffs = normalize_integral(f).integer_coefficients_ascending()
     if len(coeffs) == 1:
         raise DomainError("a nonzero constant has no roots")
@@ -327,21 +329,14 @@ def _unit_root_factor(F, p: int, K: int):
 
 
 def teichmuller(a: int, p: int, N: int) -> PadicNumber:
-    """The unique (p-1)-th root of unity in Z_p congruent to a mod p,
-    by iterating x -> x^p to precision N."""
+    """The (p-1)-th root of unity omega = a mod p in Z_p, mod p^N: a = omega u
+    with u = 1 mod p and u^(p^k) = 1 mod p^(k+1), so omega = a^(p^(N-1))."""
     check_prime(p)
+    if N < 1:
+        raise PrecisionError("precision must be at least 1 digit")
     if a % p == 0:
         raise DomainError("Teichmuller lift needs a unit residue")
-    mod = p**N
-    x = a % mod
-    for _ in range(4 * N + 4):
-        nxt = pow(x, p, mod)
-        if nxt == x:
-            break
-        x = nxt
-    else:
-        raise PrecisionError("Teichmuller iteration did not stabilize")
-    return PadicNumber(p, 0, x, N)
+    return PadicNumber(p, 0, pow(a, p**(N - 1), p**N), N)
 
 
 # -- the Iwasawa-branch logarithm ------------------------------------------

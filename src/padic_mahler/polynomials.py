@@ -383,11 +383,11 @@ def power_minus_one(n: int) -> LaurentPolynomial:
 
 def squarefree_split(f: LaurentPolynomial):
     """Yun's squarefree split of normalize(f) (Yun 1976; von zur Gathen-
-    Gerhard, Modern Computer Algebra, 14.6): pairs (a_i, i), i increasing,
-    the a_i monic, squarefree, nonconstant and pairwise coprime, with
-    normalize(f) = lead * prod a_i^i ([] for a constant f).  It runs on the
-    primitive part of f over Z, and each step's quotients are the cofactors
-    that _gcd returns with the gcd."""
+    Gerhard, Modern Computer Algebra, 14.6): pairs (q_i, i), i increasing,
+    the q_i ascending integer lists, primitive with q_i[-1] > 0, squarefree,
+    nonconstant and pairwise coprime, with normalize(f) = content * prod
+    q_i^i ([] for a constant f).  It runs on the primitive part of f over
+    Z, and each step's quotients are the cofactors _gcd returns with g."""
     if f.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no squarefree split")
     b = _primitive(f.coefficients_ascending())[2]
@@ -399,7 +399,7 @@ def squarefree_split(f: LaurentPolynomial):
         a, b, d = _gcd(b, d)
         d = _poly_sub(d, _derivative(b))
         if i and len(a) > 1:
-            pairs.append((_monic(a, f.variable), i))
+            pairs.append((a if a[-1] > 0 else [-c for c in a], i))
         i += 1
     return pairs
 

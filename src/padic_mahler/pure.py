@@ -156,10 +156,8 @@ def _segment_residual_roots(f: LaurentPolynomial, p: int, slope,
     shift = min(vp_int(c, p) for c in scaled if c != 0)
     scaled = [c // p**shift for c in scaled]
     unit_idx = [i for i, c in enumerate(scaled) if c % p != 0]
+    # the slope-m segment's endpoints: v(c_i) - m i is least exactly on it
     i_a, i_b = min(unit_idx), max(unit_idx)
-    if i_b - i_a != length:        # the polygon's segment says it is
-        raise ConvergenceError(
-            "rescaled polygon does not isolate the expected unit-root block")
     residual = [scaled[i] % p for i in range(i_a, i_b + 1)]
     deriv = _derivative(residual)
     roots = [r for r in range(1, p)

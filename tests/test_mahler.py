@@ -555,6 +555,19 @@ class TestRootMemo:
             for text in ("t - 1", "t^3 - t - 1")}
         assert [len(c) for c in calls] == [4]
 
+    def test_root_pass_gets_each_factors_rounded_monic_coefficients(
+            self, monkeypatch):
+        # c / q[-1] on ints rounds once, as float(Fraction(c, q[-1])) does;
+        # 5t - 2 passes Fujiwara's test and runs no root pass
+        f = P("(3*t^2 - 7*t + 11)^2*(7*t^3 + 10^30*t - 3)*(2 - 5*t)^3")
+        factors = [[-3, 10**30, 0, 7], [11, -7, 3], [-2, 5]]
+        assert squarefree_split(f) == list(zip(factors, [1, 2, 3]))
+        monkeypatch.setattr(mahler, "_last_roots", {})
+        calls = self.spy(monkeypatch)
+        mahler_euclidean(f)
+        assert calls == [[float(Fraction(c, q[-1])) for c in q]
+                         for q in factors[:2]]
+
     def test_a_refusal_keeps_nothing(self):
         mahler_euclidean(P("(t-1)*(t-1-1/10^200)"), 1e-12)
         kept = dict(mahler._last_roots)
@@ -568,11 +581,10 @@ class TestRootMemo:
         with pytest.raises(ConvergenceError) as cold:
             mahler_euclidean(f, 1e-12)
         # warm: the memo holds f's own float roots, as a kept pass would
-        (a, _), = squarefree_split(f)
-        coeffs = a.coefficients_ascending()
-        roots_, radii = aberth_roots([float(c) for c in coeffs])
+        (q, _), = squarefree_split(f)
+        roots_, radii = aberth_roots([float(Fraction(c, q[-1])) for c in q])
         monkeypatch.setattr(mahler, "_last_roots",
-                            {tuple(coeffs): (tuple(roots_), tuple(radii))})
+                            {tuple(q): (tuple(roots_), tuple(radii))})
         calls = self.spy(monkeypatch)
         with pytest.raises(ConvergenceError) as warm:
             mahler_euclidean(f, 1e-12)

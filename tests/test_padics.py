@@ -206,6 +206,16 @@ class TestTeichmuller:
             teichmuller(10, 5, 4)
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_lifts_refuse_nonpositive_precision(N):
+    # as PadicNumber.from_int does, instead of a tracked O(p^0) or a
+    # failed iteration
+    with pytest.raises(PrecisionError, match="at least 1 digit"):
+        teichmuller(2, 5, N)
+    with pytest.raises(PrecisionError, match="at least 1 digit"):
+        hensel_lift(parse_laurent("t^2 - 2"), 7, 3, 1, N)
+
+
 class TestLog:
     def test_log_one(self):
         assert padic_log(PadicNumber.one(7, 8)).is_zero

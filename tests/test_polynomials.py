@@ -427,6 +427,11 @@ class TestGcd:
                 to_sympy(g.shift(-g.low_degree))).monic()
 
 
+def as_poly(q):
+    """The LaurentPolynomial of an ascending integer list."""
+    return LaurentPolynomial(dict(enumerate(q)))
+
+
 class TestSquarefreeSplit:
     def test_product_recovers_input(self):
         rng = random.Random(7)
@@ -436,19 +441,20 @@ class TestSquarefreeSplit:
             if f.is_zero:
                 continue
             f = normalize(f)
-            product = LaurentPolynomial.constant(f.leading_coefficient)
-            for part, i in squarefree_split(f):
-                product = product * part**i
+            product = LaurentPolynomial.constant(content_and_primitive(f)[0])
+            for q, i in squarefree_split(f):
+                product = product * as_poly(q)**i
             assert product == f
 
     def test_repeated_roots_separated(self):
         f = normalize(parse_laurent("4*t^4 - 8*t^2 + 4"))
         pairs = squarefree_split(f)
-        for part, _ in pairs:
+        for q, _ in pairs:
+            part = as_poly(q)
             assert part.degree >= 1 and part.low_degree == 0
-            d = _derivative(part.coefficients_ascending())
-            assert part.gcd(LaurentPolynomial(dict(enumerate(d)))).degree == 0
-        assert [(str(a), i) for a, i in pairs] == [("t^2 - 1", 2)]
+            d = _derivative(q)
+            assert part.gcd(as_poly(d)).degree == 0
+        assert [(str(as_poly(q)), i) for q, i in pairs] == [("t^2 - 1", 2)]
 
     def test_constant_has_no_factors(self):
         assert squarefree_split(LaurentPolynomial.constant(-6)) == []
@@ -457,7 +463,7 @@ class TestSquarefreeSplit:
         # (t-1)^1100 once exhausted the recursion limit
         f = LaurentPolynomial(
             {k: math.comb(1100, k) * (-1) ** (1100 - k) for k in range(1101)})
-        assert [(str(a), i) for a, i in squarefree_split(f)] == [("t - 1", 1100)]
+        assert squarefree_split(f) == [([-1, 1], 1100)]
 
     def test_fifty_digit_coefficients(self):
         # the gcds run over Z on primitive parts: no rational long division
@@ -479,8 +485,8 @@ class TestSquarefreeSplit:
         start = time.perf_counter()
         pairs = squarefree_split(f)
         assert time.perf_counter() - start < seconds
-        assert pairs == [(h * (1 / h.leading_coefficient), 1),
-                         (parse_laurent("t - 3/2"), 2)]
+        _, h = content_and_primitive(normalize(h))
+        assert pairs == [(h.integer_coefficients_ascending(), 1), ([-3, 2], 2)]
 
     def test_matches_the_remainder_sequence(self, monkeypatch):
         # the heuristic gcd against the primitive remainder sequence, its
@@ -508,19 +514,26 @@ class TestSquarefreeSplit:
         monkeypatch.setattr(polynomials, "_poly_divmod",
                             lambda *a: divisions.append(1) or divmod_(*a))
         f = parse_laurent("(t-1)^20*(t^2-3*t+1)*(2*t+3)^3")
-        want = [("t + 3/2", 3), ("t^2 - 3*t + 1", 1), ("t - 1", 20)]
-        assert sorted((str(a), i) for a, i in squarefree_split(f)) == \
-            sorted(want)
+        want = [("t^2 - 3*t + 1", 1), ("2*t + 3", 3), ("t - 1", 20)]
+        assert [(str(as_poly(q)), i) for q, i in squarefree_split(f)] == want
         assert not divisions
         # no value of xi tried: the primitive remainder sequence decides
         monkeypatch.setattr(polynomials, "HEU_GCD_TRIES", 0)
-        assert sorted((str(a), i) for a, i in squarefree_split(f)) == \
-            sorted(want)
+        assert [(str(as_poly(q)), i) for q, i in squarefree_split(f)] == want
         assert divisions
         assert parse_laurent("t^3*(t-1)").gcd(
             parse_laurent("t^-2*(t-1)*(t+5)")) == parse_laurent("t - 1")
         zero = LaurentPolynomial.zero()
         assert zero.gcd(parse_laurent("2*t^2 - 4")) == parse_laurent("t^2 - 2")
+
+    def test_remainder_sequence_factors_get_a_positive_lead(self,
+                                                           monkeypatch):
+        # Yun's step 1 on (t-1)^2*(t+2) takes the gcd of b = (t-1)(t+2) and
+        # d = -(t+2), which the remainder sequence returns as -(t+2)
+        monkeypatch.setattr(polynomials, "HEU_GCD_TRIES", 0)
+        assert polynomials._gcd([-2, 1, 1], [-2, -1])[0] == [-2, -1]
+        f = parse_laurent("(t-1)^2*(t+2)")
+        assert squarefree_split(f) == [([2, 1], 1), ([-1, 1], 2)]
 
     def test_matches_sympy_sqf_list(self):
         sympy = pytest.importorskip("sympy")
@@ -540,5 +553,6 @@ class TestSquarefreeSplit:
                     f = f * g ** rng.randint(1, 6)
             f = normalize(f)
             _, expected = sympy.sqf_list(to_sympy(f))
-            assert {i: to_sympy(a) for a, i in squarefree_split(f)} == \
+            assert {i: to_sympy(as_poly(q)).monic()
+                    for q, i in squarefree_split(f)} == \
                 {i: a.monic() for a, i in expected}

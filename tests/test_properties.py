@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padic_mahler import pure
-from padic_mahler.entropy import entropy_padic
+from padic_mahler.entropy import entropy_padic, entropy_total
 from padic_mahler.errors import ConvergenceError, DomainError
 from padic_mahler.iwasawa import (
     _divisible_by_p_power_cyclotomic,
@@ -18,11 +18,18 @@ from padic_mahler.iwasawa import (
 )
 from padic_mahler.mahler import mahler_padic
 from padic_mahler.ntheory import factorize, is_prime, vp, vp_int
-from padic_mahler.padics import PadicNumber, padic_log, teichmuller
+from padic_mahler.padics import (
+    PadicNumber,
+    padic_log,
+    padic_log_of_int,
+    teichmuller,
+)
 from padic_mahler.parsing import parse_laurent, parse_polynomial
 from padic_mahler.polynomials import (
     LaurentPolynomial,
     _derivative,
+    _poly_mul,
+    _primitive,
     normalize,
     power_minus_one,
     squarefree_split,
@@ -105,6 +112,20 @@ def test_entropy_is_positive_polygon_rise(f, p):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+       st.lists(st.sampled_from([2, 3, 5]), max_size=5),
+       st.lists(st.sampled_from([2, 3, 7]), max_size=3))
+def test_finite_entropy_is_lead_over_content(low, lead_primes, content_primes):
+    # leading coefficients with repeated primes, contents above 1
+    c = math.prod(content_primes)
+    coeffs = [c * x for x in low] + [c * math.prod(lead_primes)]
+    report = entropy_total(LaurentPolynomial(dict(enumerate(coeffs))))
+    assert all(h.denominator == 1 for h in report.h_p.values())
+    assert math.prod(p ** h for p, h in report.h_p.items()) == \
+        coeffs[-1] // math.gcd(*coeffs)
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(laurent_polynomials(max_deg=3, height=5,
                                               laurent=False),
                           st.integers(1, 6)), min_size=1, max_size=3))
@@ -114,17 +135,21 @@ def test_squarefree_split_is_yun(factors):
         f = f * g**k
     f = normalize(f)
     pairs = squarefree_split(f)
-    product = LaurentPolynomial.constant(f.leading_coefficient)
-    for a, i in pairs:
-        product = product * a**i
-    assert product == f
-    for a, _ in pairs:
-        assert a.degree >= 1 and a.leading_coefficient == 1
+    # exactly the primitive part of f, in integers
+    product = [1]
+    for q, i in pairs:
+        assert q[-1] > 0 and math.gcd(*q) == 1
+        for _ in range(i):
+            product = _poly_mul(product, q)
+    assert product == _primitive(f.coefficients_ascending())[2]
+    polys = [LaurentPolynomial(dict(enumerate(q))) for q, _ in pairs]
+    for a in polys:
+        assert a.degree >= 1
         assert a.low_degree == 0    # f(0) != 0 after normalize
         d = _derivative(a.coefficients_ascending())
         assert a.gcd(LaurentPolynomial(dict(enumerate(d)))).degree == 0
-    for j, (a, _) in enumerate(pairs):
-        for b, _ in pairs[:j]:
+    for j, a in enumerate(polys):
+        for b in polys[:j]:
             assert a.gcd(b).degree == 0
     multiplicities = [i for _, i in pairs]
     assert multiplicities == sorted(set(multiplicities))
@@ -370,11 +395,13 @@ def test_factorize_recovers_prime_power_products(parts):
     assert product == n
 
 
-@given(st.integers(1, 10**6), primes, st.integers(2, 10))
+@given(st.integers(1, 10**6), primes, st.integers(1, 10))
 def test_teichmuller_torsion(a, p, N):
+    # w = a mod p and w^(p-1) = 1 mod p^N determine the lift
     if a % p == 0:
         a += 1
     w = teichmuller(a, p, N)
+    assert (w.v, w.N) == (0, N) and w.unit % p == a % p
     assert pow(w.unit, p - 1, p**N) == 1
 
 
@@ -442,3 +469,36 @@ def test_window_estimator_matches_every_n_sweep(inputs, n_budget, precision):
         (value.v, value.unit, value.N)
     assert got.data["certified_abs_precision"] == certified
     assert got.data["window_n"] == window_n
+
+
+@st.composite
+def unit_root_products(draw):
+    """(p, outside, f): f the product of p^a t - u over (a, u) in outside
+    and of some t - p^b u, each u a p-adic unit and the residues u mod p
+    distinct within each a, as the sweeps workload builds f."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    units = st.integers(-7, 7).filter(lambda u: u % p)
+    outside = draw(st.lists(st.tuples(st.integers(1, 3), units), min_size=1,
+                            max_size=3, unique_by=lambda x: (x[0], x[1] % p)))
+    inside = draw(st.lists(st.tuples(st.integers(1, 3), units), max_size=2))
+    f = LaurentPolynomial.constant(1)
+    for a, u in outside:
+        f = f * LaurentPolynomial({1: p**a, 0: -u})
+    for b, u in inside:
+        f = f * LaurentPolynomial({1: 1, 0: -p**b * u})
+    return p, outside, f
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_root_products())
+def test_closed_form_lifts_every_root_outside_the_unit_disk(case):
+    p, outside, f = case
+    positive = sum(length for slope, length in NewtonPolygon.of(f, p).segments
+                   if slope > 0)
+    cf = pure.pure_log_mahler_closed_form(f, p, 12)
+    assert cf.method == "closed_form"
+    assert len(cf.data["lifted_roots"]) == positive == len(outside)
+    # log_p p = 0, so log_p a_0 = 0 and log_p(u / p^a) = log_p u
+    want = padic_log_of_int(math.prod(u for _, u in outside), p, 12)
+    assert cf.value.agreement_valuation(want) >= \
+        min(cf.value.abs_precision, want.abs_precision)
