@@ -295,8 +295,8 @@ def resultant_limit_estimate(f: LaurentPolynomial, place, n_max: int = 100,
             report.skipped.append(n)
             continue
         if finite:
-            coeff = Fraction(-vp_int(r, place), n)
-            report.samples.append((n, float(coeff) * logp, math.gcd(n, place) == 1))
+            report.samples.append((n, -vp_int(r, place) / n * logp,
+                                   math.gcd(n, place) == 1))
         else:
             report.samples.append((n, math.log(abs(r)) / n))
     chosen = report.estimates(coprime_only=skip_p_multiples)

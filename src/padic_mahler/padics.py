@@ -12,6 +12,7 @@ p-adic logarithm in the branch normalized by log(p) = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (
     ConvergenceError,
@@ -344,28 +345,44 @@ def teichmuller(a: int, p: int, N: int) -> PadicNumber:
 
 def _log_one_plus(z: int, p: int, K: int) -> PadicNumber:
     """log(1 + z) + O(p^K) for an integer z with v_p(z) >= 1 (>= 2 if
-    p = 2), summed on integers mod p^K.  Any representative of z mod p^K
-    gives the same digits: changing z by p^K moves every z^k/k by
-    valuation >= K."""
+    p = 2), summed on integers after an argument reduction.
+
+    Let w = v_p(z) and y = (1 + z)^(p^j) - 1.  Then v_p(y) = w + j, since
+    (1 + x)^p - 1 = p x + (terms of valuation >= 2 v(x) + 1) + x^p, with
+    p v(x) > v(x) + 1 (v(x) >= 2 when p = 2).  And log(1 + y) = p^j
+    log(1 + z), as log turns products into sums.  So the series of
+    log(1 + y) is summed mod p^(K + j), in about (K + j) / (w + j) terms
+    against K / w for z, and divided exactly by p^j: that is log(1 + z)
+    mod p^K.  j = isqrt(K / 2w) balances the j powerings by p against the
+    terms saved; j = 0 sums the series of z itself.  Any representative of
+    z mod p^K gives the same digits: changing z by p^K moves
+    (1 + z)^(p^j) by p^(K + j), and so every y^k/k by valuation
+    >= K + j."""
     z %= p**K
     if z == 0:
         return PadicNumber.zero(p, K)
     w = vp_int(z, p)
-    # v(z^k / k) >= k*w - v_p(k) > k*w - bit_length(k) - 2: the terms from
-    # the first k > 4 where that bound reaches K on are all O(p^K)
+    j = isqrt(K // (2 * w))
+    Kj = K + j
+    y = pow(1 + z, p**j, p**Kj) - 1
+    w += j
+    # v(y^k / k) >= k*w - v_p(k) > k*w - bit_length(k) - 2: the terms from
+    # the first k > 4 where that bound reaches K + j on are all O(p^(K + j))
     stop = 5
-    while stop * w - (stop.bit_length() + 2) < K:
+    while stop * w - (stop.bit_length() + 2) < Kj:
         stop += 1
-    # z^k is kept mod p^(K + bit_length(stop)): v_p(k) < bit_length(stop),
-    # so the division by p^v_p(k) leaves K digits
-    mod, wide = p**K, p ** (K + stop.bit_length())
-    total, zk = 0, 1
+    # y^k is kept mod p^(K + j + bit_length(stop)): v_p(k) < bit_length(stop),
+    # so the division by p^v_p(k) leaves K + j digits
+    mod, wide = p**Kj, p ** (Kj + stop.bit_length())
+    total, yk = 0, 1
     for k in range(1, stop):
-        zk = zk * z % wide
+        yk = yk * y % wide
         vk = vp_int(k, p)
-        term = zk // p**vk * pow(k // p**vk, -1, mod)
+        term = yk // p**vk * pow(k // p**vk, -1, mod)
         total += term if k % 2 else -term
-    total %= mod
+    total, r = divmod(total % mod, p**j)
+    if r:
+        raise ConvergenceError("log(1 + y) must be divisible by p^j")
     if total == 0:
         return PadicNumber.zero(p, K)
     v = vp_int(total, p)

@@ -390,7 +390,11 @@ def squarefree_split(f: LaurentPolynomial):
     Z, and each step's quotients are the cofactors _gcd returns with g."""
     if f.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no squarefree split")
-    b = _primitive(f.coefficients_ascending())[2]
+    return _yun(_primitive(f.coefficients_ascending())[2])
+
+
+def _yun(b):
+    """squarefree_split of the primitive integer list b."""
     d, pairs, i = _derivative(b), [], 0
     # step 0 divides f and f' by their gcd, which is no a_i; before step i,
     # b = prod_{j >= i} a_j and d = sum_{j > i} (j - i) a_j' b / a_j, so

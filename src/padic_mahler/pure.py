@@ -261,7 +261,9 @@ def pure_link_growth(A: LaurentPolynomial, d: int, p: int,
     A = (t-1)^(d-1) H with H(1) != 0: equals the purely p-adic measure of
     H.  The growth numbers are read off one window sweep of R(H, t^n - 1)
     through the identity |R(A, nu_n)| |H(1)| = |R(H, t^n - 1)| n^(d-1),
-    which is checked at the largest n against A's own companion matrix."""
+    which is checked at the largest n against cyclic_resultant(A), the
+    determinants of H's squarefree factors times n^(d-1) (the Sylvester
+    property of the test suite covers that split)."""
     check_prime(p)
     if d < 1:
         raise DomainError("component count d must be >= 1")

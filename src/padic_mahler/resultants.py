@@ -8,10 +8,12 @@ the determinant of the Sylvester matrix.  Three routes are kept:
 
 * the oracle: fraction-free Bareiss elimination on the Sylvester matrix;
 * one n: the cyclic resultant R(f, nu_n), nu_n = 1 + t + ... + t^(n-1),
-  by binary powering of residues modulo F, the characteristic polynomial
-  of the scaled companion matrix B = a C (_scaled_monic), and one
-  determinant (cyclic_resultant), which also gives
-  R(f, t^n - 1) = R(f, t - 1) R(f, nu_n) with R(f, t - 1) = (-1)^deg(f) f(1);
+  of f split first as c (t - 1)^m prod q_i^i (content, squarefree_split),
+  each R(q_i, nu_n) by binary powering of residues modulo F, the
+  characteristic polynomial of the scaled companion matrix B = a C
+  (_scaled_monic), and one determinant of dimension deg q_i
+  (cyclic_resultant), which also gives R(f, t^n - 1) = R(f, t - 1)
+  R(f, nu_n) with R(f, t - 1) = (-1)^deg(f) f(1);
 * runs of n, dense or sparse: the trace sweep (cyclic_resultant_sweep),
   which reads the characteristic polynomial of B^n off the power sums of
   the roots of F by Newton's identities and takes no determinant.  It
@@ -44,6 +46,7 @@ from .polynomials import (
     _poly_mulmod,
     _primitive,
     _split_t_minus_one,
+    _yun,
     all_ones_polynomial,
     normalize,
     normalize_integral,
@@ -137,8 +140,9 @@ def _power_and_ones_sum(b, a, n, F, mod=None):
         return _poly_mulmod(b, one, F, mod), one
     m = n // 2
     P, H = _power_and_ones_sum(b, a, m, F, mod)
-    # H_{2m} = (a^m + b^m) H_m ; b^{2m} = (b^m)^2
-    H = _poly_mulmod([P[0] + pow(a, m, mod), *P[1:]], H, F, mod)
+    # H_{2m} = (a^m + b^m) H_m, a sum alone as H_1 = 1 ; b^{2m} = (b^m)^2
+    S = [P[0] + pow(a, m, mod), *P[1:]]
+    H = _poly_mulmod(S, H, F, mod) if m > 1 else S
     P = _poly_mulmod(P, P, F, mod)
     if n % 2:
         # H_{2m+1} = a H_{2m} + b^{2m} ; b^{2m+1} = b b^{2m}
@@ -230,26 +234,36 @@ def cyclic_resultant(f: LaurentPolynomial, n: int, variant: str = "ones") -> int
     (variant="ones") or R(f, t^n - 1) = R(f, t - 1) R(f, nu)
     (variant="full"), with R(f, t - 1) = (-1)^deg(f) f(1).
 
-    f must be nonzero with integer coefficients; it is normalized first.
-    R(f, nu) = a^(n-1) det nu(C) is det H / a^((n-1)(d-1)), H the matrix of
-    multiplication by sum_{i<n} a^(n-1-i) y^i modulo F = _scaled_monic(f),
-    reduced by binary powering: the route for one isolated n
-    (cyclic_resultant_sweep serves dense runs of n).
+    f must be nonzero with integer coefficients.  normalize(f) is split
+    first as c (t - 1)^m prod q_i^i (content, squarefree_split).  R is
+    multiplicative in f, R(c, nu_n) = c^(n-1) and R(t - 1, nu_n) =
+    nu_n(1) = n, so R(f, nu_n) = c^(n-1) n^m prod R(q_i, nu_n)^i, and
+    "full" is 0 for m > 0, with no determinant.  Each R(q, nu_n) =
+    a^(n-1) det nu_n(C) is det H / a^((n-1)(d-1)), one Bareiss determinant
+    of dimension d = deg q, H the matrix of multiplication by
+    sum_{i<n} a^(n-1-i) y^i modulo F = _scaled_monic(q), reduced by binary
+    powering: the route for one isolated n (cyclic_resultant_sweep serves
+    dense runs of n).
     """
     if n < 1:
         raise DomainError("need n >= 1")
     _check_variant(variant)
-    coeffs = normalize_integral(f).integer_coefficients_ascending()
-    scale = (-1) ** (len(coeffs) - 1) * sum(coeffs) if variant == "full" else 1
-    F, a = _scaled_monic(coeffs)
-    if len(F) == 1:
-        return scale * a ** (n - 1)
-    H = _power_and_ones_sum([0, 1], a, n, F)[1]
-    value, r = divmod(bareiss_determinant(_multiplication_matrix(H, F)),
-                      a ** ((n - 1) * (len(F) - 2)))
-    if r:
-        raise ConvergenceError("companion scaling must divide exactly")
-    return scale * value
+    m, g = _split_t_minus_one(
+        normalize_integral(f).integer_coefficients_ascending())
+    if m and variant == "full":
+        return 0    # t = 1 is a root of both
+    value = n**m if variant == "ones" else (-1) ** (len(g) - 1) * sum(g)
+    c, _, g = _primitive(g)
+    value *= c ** (n - 1)
+    for q, i in _yun(g):
+        F, a = _scaled_monic(q)
+        H = _power_and_ones_sum([0, 1], a, n, F)[1]
+        det, r = divmod(bareiss_determinant(_multiplication_matrix(H, F)),
+                        a ** ((n - 1) * (len(F) - 2)))
+        if r:
+            raise ConvergenceError("companion scaling must divide exactly")
+        value *= det**i
+    return value
 
 
 # The last (t - 1)-free part g swept: (tuple(g), {n: R(g, t^n - 1)},

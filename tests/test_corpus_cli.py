@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -253,6 +254,10 @@ EXIT_CODE_CASES = [
     (["iwasawa", "--poly", "10^50*t^2+3*t+10^50", "--prime", "3"], 0),
     (["mahler", "--poly", "t-10^400"], 6),
     (["homology", "--poly", "t^2-3*t+1", "--n", "10000"], 0),
+    # (t-1)^12 and a quartic to the 4th: one determinant of dimension 4,
+    # where the unsplit degree-28 determinant took 16 s
+    (["homology", "--poly", "((12*t^0-6*t^2+5*t^1+12*t^4)*(t-1)^3)^4",
+      "--n", "257", "--components", "2"], 0),
     (["mahler", "--poly", "(t-1)^1100"], 0),
     (["mahler", "--poly", "(t-1)^("], 3),
     (["mahler", "--poly", "(t"], 3),
@@ -386,6 +391,19 @@ class TestCli:
     def test_homology(self, capsys):
         assert main(["homology", "--poly", "t^2-3*t+1", "--n", "2"]) == 0
         assert "= 5" in capsys.readouterr().out
+
+    def test_homology_of_repeated_factors(self, capsys):
+        # the order as the unsplit degree-28 determinant computed it, in
+        # 16 s: 1192 digits, pinned by their sha256
+        start = time.perf_counter()
+        assert main(["homology", "--poly",
+                     "((12*t^0-6*t^2+5*t^1+12*t^4)*(t-1)^3)^4",
+                     "--n", "257", "--components", "2"]) == 0
+        assert time.perf_counter() - start < 1.0
+        order = capsys.readouterr().out.split()[2]
+        assert len(order) == 1192
+        assert hashlib.sha256(order.encode()).hexdigest() == \
+            "45b3a2a74365bcacf590f8f8d6911cdc062be79e55bb9368d2e0f30f11db0c8e"
 
     def test_one_variable_delta_takes_subs(self, capsys):
         # --subs 3 maps t -> t^3, as the corpus does, and is not ignored

@@ -331,3 +331,23 @@ def test_log_matches_deleted_routes(p, N):
         x = PadicNumber(p, rng.randrange(-3, 4), u, N)
         got, want = padic_log(x), reference(x)
         assert (got.v, got.unit, got.N) == (want.v, want.unit, want.N), u
+
+
+@pytest.mark.parametrize("K", [1, 2, 12, 40, 400])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_reduced_log_matches_series(p, K):
+    # _log_one_plus sums log(1 + y), y = (1 + z)^(p^j) - 1, mod p^(K + j)
+    # and divides by p^j; the reference sums log(1 + z) itself.  v(z) runs
+    # from its least value up to K, so j = 0 (K < 2 v(z)) occurs, and so
+    # do z = 0 mod p^K and z = p^K u, where (1 + z)^(p^j) = 1 mod p^(K + j)
+    rng = random.Random(7 * p + K)
+    zs = [0, p**K, -3 * p**K]
+    for w in range(2 if p == 2 else 1, K + 1):
+        zs += [rng.choice([1, -1]) * p**w * rng.randrange(1, p**K)
+               for _ in range(2)]
+    for z in zs:
+        w = vp_int(z, p) if z else INFINITY
+        want = _series_log_one_plus(PadicNumber.from_int(z, p, K - w)
+                                    if w < K else PadicNumber.zero(p, K))
+        got = padics._log_one_plus(z, p, K)
+        assert (got.v, got.unit, got.N) == (want.v, want.unit, want.N), z

@@ -178,6 +178,21 @@ def test_cyclic_resultant_against_oracle(f, n):
         cyclic_resultant_sylvester(f, n, "ones")
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(-12, 12).filter(bool), st.integers(0, 3),
+       st.lists(st.tuples(laurent_polynomials(max_deg=3, height=5,
+                                              laurent=False),
+                          st.integers(1, 3)), max_size=3),
+       st.integers(1, 12), st.sampled_from(["ones", "full"]))
+def test_split_cyclic_resultant_against_oracle(c, m, factors, n, variant):
+    # c (t - 1)^m prod q_i^i: contents, repeated and constant factors
+    f = LaurentPolynomial.constant(c) * LaurentPolynomial({1: 1, 0: -1}) ** m
+    for q, i in factors:
+        f = f * q**i
+    assert cyclic_resultant(f, n, variant) == \
+        cyclic_resultant_sylvester(f, n, variant)
+
+
 @settings(max_examples=30, deadline=None)
 @given(laurent_polynomials(max_deg=20, height=9),
        st.integers(0, 3),

@@ -222,6 +222,14 @@ class TestResidueKernel:
                 dims.clear()
                 cyclic_resultant(parse_laurent(text), n, "full")
                 assert dims == [d], (text, n)
+        # split first: one determinant per squarefree factor, of its
+        # degree, and none for (t - 1)^2, which makes "full" 0
+        f = parse_laurent("6*(t-1)^2*(2*t^2-3*t+2)^3*(3*t^3+t-5)")
+        for n in (2, 17, 1000):
+            dims.clear()
+            assert cyclic_resultant(f, n, "full") == 0 and dims == []
+            cyclic_resultant(f, n, "ones")
+            assert dims == [3, 2], n
 
     def test_one_elimination_per_chain_level(self, monkeypatch):
         dims, oracle = [], []
