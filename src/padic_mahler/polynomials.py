@@ -515,23 +515,25 @@ def _gcd(a, b):
         return (b, [0], [1]) if any(b) else (a, [1], [0])
     if len(a) == 1 or len(b) == 1:     # a nonzero constant
         return [1], a, b
-    (ca, _, a), (cb, _, b) = _primitive(a), _primitive(b)
-    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() + 8
+    (ca, _, pa), (cb, _, pb) = _primitive(a), _primitive(b)
+    k = (2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2).bit_length() + 8
     for _ in range(HEU_GCD_TRIES):
-        va, vb = (sum(c << k * i for i, c in enumerate(p)) for p in (a, b))
+        va, vb = (sum(c << k * i for i, c in enumerate(p)) for p in (pa, pb))
         gamma = math.gcd(va, vb)
+        if gamma == 1:  # coprime: what the digits below would certify
+            return [1], a, b
         content, _, g = _primitive(_digits(gamma, k))
         fa, fb = (_digits(v * content // gamma, k) for v in (va, vb))
-        if _poly_mul(fa, g) == a and _poly_mul(fb, g) == b:
+        if _poly_mul(fa, g) == pa and _poly_mul(fb, g) == pb:
             break
         k += k // 2
     else:   # each pseudo-remainder is replaced by its primitive part
-        u, v = (a, b) if len(a) >= len(b) else (b, a)
+        u, v = (pa, pb) if len(pa) >= len(pb) else (pb, pa)
         while any(v):
             scale = v[-1] ** (len(u) - len(v) + 1)
             u, v = v, _primitive(_poly_divmod([scale * x for x in u], v)[1])[2]
         g = _primitive(u)[2]
-        (fa, ra), (fb, rb) = _poly_divmod(a, g), _poly_divmod(b, g)
+        (fa, ra), (fb, rb) = _poly_divmod(pa, g), _poly_divmod(pb, g)
         if any(ra) or any(rb):
             raise ConvergenceError("a primitive gcd left a remainder over Z")
     return g, [ca * c for c in fa], [cb * c for c in fb]

@@ -15,11 +15,10 @@ the determinant of the Sylvester matrix.  Three routes are kept:
   (cyclic_resultant), which also gives R(f, t^n - 1) = R(f, t - 1)
   R(f, nu_n) with R(f, t - 1) = (-1)^deg(f) f(1);
 * runs of n, dense or sparse: the trace sweep (cyclic_resultant_sweep),
-  which reads the characteristic polynomial of B^n off the power sums of
-  the roots of F by Newton's identities and takes no determinant.  It
-  keeps the exact R(g, t^n - 1) of the last (t - 1)-free part g it swept,
-  up to 2^23 bits (1 MiB) of them, and serves a request from them only
-  when they hold every n asked for; what it yields equals a cold sweep.
+  no determinant: Newton's identities on the power sums of the roots of
+  F give det(y - B^n) but its last coefficient, read off g(0), g the
+  (t - 1)-free part of f.  It keeps the R(g, t^n - 1) of the last g swept,
+  up to 2^23 bits (1 MiB), for a request that asks for no other n.
 
 The three agree, and the test suite checks that they do.  Modulo p^K,
 cyclic_resultant_valuation reads each step's valuation off a pivoted
@@ -133,11 +132,11 @@ def _scaled_monic(coeffs):
 
 
 def _power_and_ones_sum(b, a, n, F, mod=None):
-    """(b^n, H_n), H_n = sum_{i<n} a^(n-1-i) b^i, residues of a list b
-    modulo the monic F (and ``mod``, when given), by binary recursion."""
+    """(b^n, H_n), H_n = sum_{i<n} a^(n-1-i) b^i, residues modulo the monic
+    F (and ``mod``) by binary recursion, b reduced if it has deg F terms."""
     if n == 1:
         one = [1] + [0] * (len(F) - 2)
-        return _poly_mulmod(b, one, F, mod), one
+        return (b if len(b) == len(one) else _poly_mulmod(b, one, F, mod)), one
     m = n // 2
     P, H = _power_and_ones_sum(b, a, m, F, mod)
     # H_{2m} = (a^m + b^m) H_m, a sum alone as H_1 = 1 ; b^{2m} = (b^m)^2
@@ -274,65 +273,64 @@ _last_sweep = ((), {}, [0])
 
 def _sweep_kernel(g, ns):
     """Yield R(g, t^n - 1) for each n of the strictly increasing list ns,
-    g the ascending coefficients of an integer polynomial with g(1) != 0,
-    by traces: see cyclic_resultant_sweep."""
+    g the ascending coefficients of an integer polynomial with g(1) != 0.
+    With e = deg g >= 1, a = lead g, x = a^n and det(y - B^n) = sum_k c_k
+    y^(e-k), R(g, t^n - 1) = (-1)^e sum_k c_k / x^(k-1).  Each term is an
+    integer, (-1)^k a^n e_k(alpha^n) with a alpha_i1 .. alpha_ik an
+    algebraic integer, the last is (-1)^e h^n, h = (-1)^e g(0), and so
+    R(g, t^n - 1) = (-1)^e (x + T) + h^n, T = sum_{0<k<e} c_k / x^(k-1)
+    taken top down, T <- T / x + c_k.  A constant g yields x."""
     F, a = _scaled_monic(g)
     e, q = len(g) - 1, F[-2::-1]    # q_j: the coefficient of x^(e - j) in F
-    wanted = {j * n for n in ns for j in range(1, e + 1)}
-    kept = {}                   # P_k for k in wanted
+    kept = dict.fromkeys(j * n for n in ns for j in range(1, e))    # P_jn
     recent = deque([0] * e, maxlen=e)   # P_(k-e) .. P_(k-1), 0 for k <= 0
     for prev, n in zip([0, *ns], ns):
-        for k in range(e * prev + 1, e * n + 1):
+        for k in range((e - 1) * prev + 1, (e - 1) * n + 1):
             # Newton: P_k = -sum_{j <= min(k, e)} q_j P_(k-j) - [k <= e] k q_k
             s = sum(map(mul, q, reversed(recent)))
             recent.append(-s - k * q[k - 1] if k <= e else -s)
-            if k in wanted:
+            if k in kept:
                 kept[k] = recent[-1]
-        # chi(x) = sum_k c_k x^(e-k): k c_k = -sum_{j <= k} c_(k-j) P_(jn)
-        traces = [kept[j * n] for j in range(1, e + 1)]
-        value, x = 1, a**n
-        chi = [1]
-        for k in range(1, e + 1):
+        # k c_k = -sum_{j <= k} c_(k-j) P_(jn), for k < e
+        traces = [kept[j * n] for j in range(1, e)]
+        chi, x, T = [1], a**n, 0
+        for k in range(1, e):
             c, r = divmod(-sum(map(mul, reversed(chi), traces)), k)
             if r:
                 raise ConvergenceError("Newton's identity left a remainder")
             chi.append(c)
-            value = value * x + c
-        value, r = divmod((-1) ** e * value * x, x**e)
-        if r:
-            raise ConvergenceError("companion scaling must divide exactly")
-        yield value
+        for c in chi[:0:-1]:
+            T, r = divmod(T, x)
+            if r:
+                raise ConvergenceError("companion scaling must divide exactly")
+            T += c
+        yield (-1) ** e * (x + T) + ((-1) ** e * g[0]) ** n if e else x
 
 
 def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     """Yield cyclic_resultant(f, n, variant) for each n of the strictly
     increasing iterable ``ns`` of positive integers, with no determinant.
 
-    f = (t - 1)^m g with g(1) != 0 is split first.  Let e = deg g, a its
-    leading coefficient and F = _scaled_monic(g), the characteristic
-    polynomial of B = a C, whose roots are the a alpha_i.  With chi that of
-    B^n, chi(a^n) = prod (a^n - (a alpha_i)^n), so
+    f = (t - 1)^m g with g(1) != 0 is split first, e = deg g, and
 
-        R(g, t^n - 1) = (-1)^e chi(a^n) / a^((e - 1) n),
         R(f, t^n - 1) = 0 if m > 0, else R(g, t^n - 1),
         R(f, nu_n) = n^m R(g, t^n - 1) / ((-1)^e g(1)).
 
-    chi comes from traces, as in Le Verrier's method: the power sums
-    P_k = tr(B^k) of the roots of F follow Newton's recurrence on the
-    coefficients of F, one O(e) step per k up to e * max(ns), and
-    Newton's identities on P_n, P_2n, .., P_en give
-    the integer coefficients of chi in O(e^2) per requested n.  Every
-    division is checked exact.  Only the P_(jn), j <= e and n in ns, and
-    the last e that the recurrence reads are kept, so dense runs of n and
-    sparse ones such as the purely p-adic stabilization window are served
-    alike; one isolated large n is cheaper by cyclic_resultant.
+    R(g, t^n - 1) comes from traces, as in Le Verrier's method: the power
+    sums P_k = tr(B^k) of the roots a alpha_i of F = _scaled_monic(g)
+    follow Newton's recurrence on its coefficients, one O(e) step per k up
+    to (e - 1) max(ns); Newton's identities on P_n, .., P_(e-1)n give the
+    coefficients of det(y - B^n) but the last, read off g(0), in O(e^2)
+    per n (_sweep_kernel), every division checked exact.  Only the P_(jn),
+    j < e, and the last e P_k are kept, so dense and sparse runs of n (the
+    purely p-adic stabilization window) are served alike.
 
     The exact R(g, t^n - 1) of the last g swept are kept, so the next
     estimator that reads the same f runs no recurrence when they hold
-    every n it asks for; if one n is missing, the whole request is swept
-    again.  The values are those a cold sweep yields.  A sweep of another
-    g replaces them, and they are kept only while their bit lengths sum
-    to at most _MEMO_BITS (1 MiB); later ones are still yielded.
+    every n it asks for (else the whole request is swept again); what it
+    yields equals a cold sweep.  A sweep of another g replaces them, and
+    they are kept only while their bit lengths sum to at most _MEMO_BITS
+    (1 MiB); later ones are still yielded.
     """
     global _last_sweep
     _check_variant(variant)

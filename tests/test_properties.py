@@ -193,8 +193,20 @@ def test_split_cyclic_resultant_against_oracle(c, m, factors, n, variant):
         cyclic_resultant_sylvester(f, n, variant)
 
 
-@settings(max_examples=30, deadline=None)
-@given(laurent_polynomials(max_deg=20, height=9),
+@st.composite
+def steep_polynomials(draw):
+    # leading coefficients up to 4096, whose powers a^(kn) the coefficients
+    # of det(x - B^n) carry, on degrees 0-8 and often 0-2, where
+    # ((-1)^e g(0))^n, read off g(0) of either sign, is most of R(g, t^n - 1)
+    f = draw(st.one_of(laurent_polynomials(2, 9, laurent=False),
+                       laurent_polynomials(8, 9, laurent=False)))
+    lead = draw(st.integers(-4096, 4096).filter(bool))
+    return LaurentPolynomial({**f.terms, max(f.terms): lead})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(laurent_polynomials(max_deg=20, height=9),
+                 steep_polynomials()),
        st.integers(0, 3),
        st.sets(st.integers(1, 120), max_size=8),
        st.sampled_from(["ones", "full"]))
