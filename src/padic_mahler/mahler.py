@@ -7,13 +7,8 @@ complex roots rather than contour integration.  The p-adic log measure is
 (-min_i v_p(a_i)) * log p, the log of the Gauss norm, cross-checked against
 the Newton-polygon product on every call.  Both are the limits of
 |R(f, nu_n)|^(1/n) at the respective places, and resultant_limit_estimate
-exhibits that convergence with exact resultants.
-
-The Euclidean measure keeps the float roots of the last polynomial it
-measured, keyed by each factor's integer coefficients, so a second
-measure of it (entropy_total reconciles h against the measure just taken)
-runs no root pass.  The roots are a deterministic function of those
-integers, so a warm call returns what a cold one does, bit for bit.
+exhibits that convergence with exact resultants.  The float roots of the
+last polynomial measured are kept (memo.py).
 """
 
 from __future__ import annotations
@@ -22,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import memo
 from .errors import ConvergenceError, DomainError, ZeroPolynomialError
 from .ntheory import INFINITY, check_prime, doubling, vp_int
 from .polynomials import (LaurentPolynomial, normalize_integral,
@@ -34,11 +30,6 @@ from .valuations import gauss_norm_valuation, gauss_valuation_from_polygon
 # tol, and the most bits tried before a refusal
 POLISH_BITS = 32
 POLISH_BITS_CAP = 1024
-
-# The float roots of the last mahler_euclidean call's measured factors:
-# {a factor's integer list q, as a tuple: (roots, radii) from aberth_roots},
-# rebound whole when a call returns, so it holds one polynomial's factors
-_last_roots = {}
 
 
 @dataclass(frozen=True)
@@ -148,15 +139,10 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     factor with Fujiwara's root bound below 1 adds exactly 0; any other
     whose coefficients do not fit float64 is refused with ConvergenceError.
 
-    A call that returns keeps (roots, radii) of each factor it ran
-    aberth_roots on in _last_roots, keyed by the tuple of q_i, and drops
-    what an earlier call kept; the next call reuses them for an equal
-    factor.  The polish is not kept, since its schedule depends on tol.
-    aberth_roots is a deterministic function of the float coefficients,
-    so a kept pair is the very pair a fresh pass would return, and every
-    value, bound and refusal of a warm call equals a cold call's.
+    Slot "roots" of memo.py keeps {q_i: (roots, radii)} from aberth_roots,
+    keyed by the tuple of the q_i; the polish depends on tol and is not
+    kept.
     """
-    global _last_roots
     if f.is_zero:
         raise ZeroPolynomialError("Mahler measure of the zero polynomial")
     if not tol > 0:
@@ -169,7 +155,7 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     logs = 2        # float roundings in value
     peak = max(num_log, den_log)
     pairs = squarefree_split(f)
-    kept = {}
+    kept = memo.last("roots", tuple(tuple(q) for q, _ in pairs), dict)
     for q, i in pairs:
         budget = tol / (2.0 * len(pairs) * i)
         # Fujiwara's bound below 1: every root has |z| < 1, log M(q) = 0
@@ -177,9 +163,7 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
                for k, c in enumerate(q[:-1])):
             continue
         key = tuple(q)
-        if key in _last_roots:
-            kept[key] = _last_roots[key]
-        else:
+        if key not in kept:
             try:
                 roots, radii = aberth_roots([c / q[-1] for c in q])
             except OverflowError:
@@ -216,7 +200,6 @@ def mahler_euclidean(f: LaurentPolynomial, tol: float = 1e-12) -> LogMeasure:
     if error > tol:
         raise ConvergenceError(
             "rounding allowance exceeds the requested tolerance")
-    _last_roots = kept
     return LogMeasure.infinite(value, error)
 
 

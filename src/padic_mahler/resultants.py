@@ -17,8 +17,7 @@ the determinant of the Sylvester matrix.  Three routes are kept:
 * runs of n, dense or sparse: the trace sweep (cyclic_resultant_sweep),
   no determinant: Newton's identities on the power sums of the roots of
   F give det(y - B^n) but its last coefficient, read off g(0), g the
-  (t - 1)-free part of f.  It keeps the R(g, t^n - 1) of the last g swept,
-  up to 2^23 bits (1 MiB), for a request that asks for no other n.
+  (t - 1)-free part of f, kept for the last g swept (memo.py).
 
 The three agree, and the test suite checks that they do.  Modulo p^K,
 cyclic_resultant_valuation reads each step's valuation off a pivoted
@@ -37,6 +36,7 @@ from collections import deque
 from fractions import Fraction
 from operator import mul
 
+from . import memo
 from .errors import ConvergenceError, DomainError
 from .ntheory import check_prime, doubling, vp_int
 from .padics import _unit_root_factor
@@ -265,10 +265,8 @@ def cyclic_resultant(f: LaurentPolynomial, n: int, variant: str = "ones") -> int
     return value
 
 
-# The last (t - 1)-free part g swept: (tuple(g), {n: R(g, t^n - 1)},
-# [bits held]), rebound whole when g changes; at most _MEMO_BITS bits kept
+# the most bits of R(g, t^n - 1) the "sweep" slot keeps (1 MiB)
 _MEMO_BITS = 1 << 23
-_last_sweep = ((), {}, [0])
 
 
 def _sweep_kernel(g, ns):
@@ -325,14 +323,10 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     j < e, and the last e P_k are kept, so dense and sparse runs of n (the
     purely p-adic stabilization window) are served alike.
 
-    The exact R(g, t^n - 1) of the last g swept are kept, so the next
-    estimator that reads the same f runs no recurrence when they hold
-    every n it asks for (else the whole request is swept again); what it
-    yields equals a cold sweep.  A sweep of another g replaces them, and
-    they are kept only while their bit lengths sum to at most _MEMO_BITS
-    (1 MiB); later ones are still yielded.
+    Slot "sweep" of memo.py keeps {n: R(g, t^n - 1)} for g, while their
+    bit lengths sum to at most _MEMO_BITS, and serves a request only when
+    it holds every n asked for (else the whole request is swept again).
     """
-    global _last_sweep
     _check_variant(variant)
     ns = list(ns)
     if any(n <= prev for prev, n in zip([0, *ns], ns)):
@@ -342,9 +336,7 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
     if m and variant == "full":
         yield from [0] * len(ns)    # t = 1 is a root of both
         return
-    if _last_sweep[0] != tuple(g):
-        _last_sweep = (tuple(g), {}, [0])
-    _, known, held = _last_sweep
+    known, held = memo.last("sweep", tuple(g), lambda: ({}, [0]))
     values = ([known[n] for n in ns] if all(n in known for n in ns)
               else _sweep_kernel(g, ns))
     r1 = (-1) ** (len(g) - 1) * sum(g)     # R(g, t - 1)
@@ -356,7 +348,8 @@ def cyclic_resultant_sweep(f: LaurentPolynomial, ns, variant: str = "ones"):
         if variant == "ones":
             value, r = divmod(n**m * value, r1)
             if r:
-                raise ConvergenceError("companion scaling must divide exactly")
+                raise ConvergenceError(
+                    "R(g, t - 1) must divide n^m R(g, t^n - 1) exactly")
         yield value
 
 

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
 import sys
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padic_mahler import cli
+from padic_mahler import cli, memo
 from padic_mahler.cli import main
 from padic_mahler.corpus import (
     branched_cover_homology_order,
@@ -17,6 +22,7 @@ from padic_mahler.corpus import (
 from padic_mahler.errors import DomainError
 from padic_mahler.padics import PadicNumber
 from padic_mahler.parsing import parse_laurent
+from padic_mahler.polynomials import LaurentPolynomial
 
 P = parse_laurent
 
@@ -566,3 +572,71 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+@st.composite
+def cli_sessions(draw):
+    """Two to five argv lists for consecutive CLI calls on polynomials of
+    degree <= 6 (products of powers of small factors), each call on the
+    polynomial of the one before with probability one half."""
+    calls, text = [], None
+    primes = st.sampled_from(["2", "3", "5"])
+    for _ in range(draw(st.integers(2, 5))):
+        if text is None or draw(st.booleans()):
+            factors, degree = [], 0
+            for _ in range(draw(st.integers(1, 3))):
+                d = draw(st.integers(0, min(2, 6 - degree)))
+                coeffs = draw(st.lists(st.integers(-6, 6), min_size=d + 1,
+                                       max_size=d + 1).filter(lambda c: c[-1]))
+                k = draw(st.integers(1, 3)) if d else 1
+                if degree + k * d > 6:
+                    k = 1   # d <= 6 - degree, so one power fits
+                degree += k * d
+                q = LaurentPolynomial(dict(enumerate(coeffs)))
+                factors.append(f"({q})^{k}")
+            text = "*".join(factors)
+        command = draw(st.sampled_from(["mahler", "entropy", "mp", "hbar",
+                                        "homology", "growth", "iwasawa"]))
+        place = draw(st.sampled_from(["inf", "2", "3", "5"]))
+        budget = str(draw(st.integers(1, 60)))
+        tol = draw(st.sampled_from(["1e-12", "1e-9", "1e-6"]))
+        pure = ["--prime", draw(primes), "--nbudget", budget,
+                "--precision", str(draw(st.integers(1, 32)))]
+        options = {
+            "mahler": ["--place", place, "--tol", tol],
+            "entropy": ["--tol", tol],
+            "mp": pure,
+            "hbar": pure + ["--solenoid"] * draw(st.booleans()),
+            "homology": ["--n", budget,
+                         "--components", str(draw(st.integers(1, 2)))],
+            "growth": ["--place", place, "--nmax", budget]
+            + (["--pure", "--components", str(draw(st.integers(1, 3)))]
+               if place != "inf" and draw(st.booleans()) else []),
+            "iwasawa": ["--prime", draw(primes),
+                        "--rmax", str(draw(st.integers(1, 4)))],
+        }[command]
+        json_out = ["--format", "json"] * draw(st.booleans())
+        calls.append([*json_out, command, "--poly", text, *options])
+    return calls
+
+
+def _cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, derandomize=True,
+          deadline=timedelta(seconds=10))
+@given(cli_sessions())
+def test_warm_cli_calls_equal_cold(session):
+    # each call after the calls before it, whatever they left in memo.py,
+    # says what the same call says after memo.clear()
+    warm = [_cli(argv) for argv in session]
+    for argv, got in zip(session, warm):
+        memo.clear()
+        assert got == _cli(argv), argv
+        code, _, err = got
+        assert code in (0, 4, 5, 6) and "Traceback" not in err, (argv, got)

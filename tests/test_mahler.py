@@ -16,7 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_mahler import mahler, roots
+from padic_mahler import mahler, memo, roots
 from padic_mahler.cli import main
 from padic_mahler.entropy import entropy_total
 from padic_mahler.errors import (
@@ -509,7 +509,7 @@ def _measured(f, tol):
 def test_warm_measure_equals_cold(f, h, before, tol):
     # kept roots are the very roots a fresh pass finds, whatever an earlier
     # call on f, on a multiple of f or on another polynomial left behind
-    mahler._last_roots = {}
+    memo.clear()
     cold = _measured(f, tol)
     _measured({"f": f, "f*h": f * h, "g": h}[before], 1e-14)
     assert _measured(f, tol) == cold
@@ -529,7 +529,7 @@ class TestRootMemo:
     def test_entropy_after_measure_runs_no_root_pass(self, monkeypatch):
         f = P("6*(t-1)^3*(t^2-3*t+1)^2*(2*t^3-t-1)")
         cold = entropy_total(f, 1e-12)
-        monkeypatch.setattr(mahler, "_last_roots", {})
+        memo.clear()
         mahler_euclidean(f, 1e-12)
         calls = self.spy(monkeypatch)
         warm = entropy_total(f, 1e-12)
@@ -540,20 +540,16 @@ class TestRootMemo:
     def test_keeps_exactly_the_last_polynomials_measured_factors(
             self, monkeypatch):
         # 4t - 1 is monic t - 1/4, inside the unit disk by Fujiwara's
-        # bound, so it runs no root pass and is not kept
+        # bound, so it runs no root pass
         calls = self.spy(monkeypatch)
-        mahler_euclidean(P("(t-1)^2*(t^2-3*t+1)*(4*t-1)^3"))
-        keys = {tuple(P(text).coefficients_ascending())
-                for text in ("t - 1", "t^2 - 3*t + 1")}
-        assert set(mahler._last_roots) == keys
-        assert sorted(map(len, calls)) == [2, 3]
-        # the next polynomial replaces them, reusing the one it shares
-        calls.clear()
-        mahler_euclidean(P("(t-1)^2*(t^3-t-1)"))
-        assert set(mahler._last_roots) == {
-            tuple(P(text).coefficients_ascending())
-            for text in ("t - 1", "t^3 - t - 1")}
-        assert [len(c) for c in calls] == [4]
+        f = P("(t-1)^2*(t^2-3*t+1)*(4*t-1)^3")
+        g = P("(t-1)^2*(t^3-t-1)")
+        for h, lengths in [(f, [2, 3]), (f, []), (g, [2, 4]), (g, []),
+                           (f, [2, 3])]:
+            # the next polynomial replaces them, even the factor it shares
+            calls.clear()
+            mahler_euclidean(h)
+            assert sorted(map(len, calls)) == lengths
 
     def test_root_pass_gets_each_factors_rounded_monic_coefficients(
             self, monkeypatch):
@@ -562,33 +558,51 @@ class TestRootMemo:
         f = P("(3*t^2 - 7*t + 11)^2*(7*t^3 + 10^30*t - 3)*(2 - 5*t)^3")
         factors = [[-3, 10**30, 0, 7], [11, -7, 3], [-2, 5]]
         assert squarefree_split(f) == list(zip(factors, [1, 2, 3]))
-        monkeypatch.setattr(mahler, "_last_roots", {})
+        memo.clear()
         calls = self.spy(monkeypatch)
         mahler_euclidean(f)
         assert calls == [[float(Fraction(c, q[-1])) for c in q]
                          for q in factors[:2]]
 
-    def test_a_refusal_keeps_nothing(self):
-        mahler_euclidean(P("(t-1)*(t-1-1/10^200)"), 1e-12)
-        kept = dict(mahler._last_roots)
-        for text in ["(t-1)*(t-1-1/10^320)", "t^2 - 10^400*t + 1"]:
-            with pytest.raises(ConvergenceError):
-                mahler_euclidean(P(text), 1e-12)
-            assert mahler._last_roots == kept
+    def test_a_refusal_keeps_the_roots_it_found(self, monkeypatch):
+        # a refusal replaces what the last polynomial kept by what it found:
+        # the polish of (t-1)*(t-1-1/10^320) is refused after one root pass,
+        # and t^2 - 10^400 t + 1 is refused before any
+        calls = self.spy(monkeypatch)
+        f = P("(t-1)*(t-1-1/10^200)")
+        mahler_euclidean(f, 1e-12)
+        for text, passes in [("(t-1)*(t-1-1/10^320)", 1),
+                             ("t^2 - 10^400*t + 1", 0)]:
+            calls.clear()
+            for _ in range(2):
+                with pytest.raises(ConvergenceError):
+                    mahler_euclidean(P(text), 1e-12)
+            assert len(calls) == passes
+        calls.clear()
+        mahler_euclidean(f, 1e-12)
+        assert len(calls) == 1
 
     def test_refusal_is_the_same_cold_and_warm(self, monkeypatch):
+        # warm: the memo holds the float roots the cold refusal found
         f = P("(t-1)*(t-1-1/10^320)")
-        with pytest.raises(ConvergenceError) as cold:
-            mahler_euclidean(f, 1e-12)
-        # warm: the memo holds f's own float roots, as a kept pass would
-        (q, _), = squarefree_split(f)
-        roots_, radii = aberth_roots([float(Fraction(c, q[-1])) for c in q])
-        monkeypatch.setattr(mahler, "_last_roots",
-                            {tuple(q): (tuple(roots_), tuple(radii))})
         calls = self.spy(monkeypatch)
-        with pytest.raises(ConvergenceError) as warm:
-            mahler_euclidean(f, 1e-12)
-        assert calls == [] and str(warm.value) == str(cold.value)
+        messages = []
+        for clear in (True, False, True):
+            if clear:
+                memo.clear()
+            with pytest.raises(ConvergenceError) as refused:
+                mahler_euclidean(f, 1e-12)
+            messages.append(str(refused.value))
+        assert len(calls) == 2 and len(set(messages)) == 1
+
+    def test_slots_are_independent(self, monkeypatch):
+        # a sweep of another polynomial keeps the roots of f
+        f = P("6*(t-1)^3*(t^2-3*t+1)^2*(2*t^3-t-1)")
+        mahler_euclidean(f, 1e-12)
+        resultant_limit_estimate(P("(3*t-1)*(t-3)*(9*t+2)*(t-6)"), 3, 120)
+        calls = self.spy(monkeypatch)
+        entropy_total(f, 1e-12)
+        assert calls == []
 
 
 def test_measures_reference_errors_cover_the_truth():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_mahler import resultants
+from padic_mahler import memo, resultants
 from padic_mahler.errors import (
     ConvergenceError,
     DomainError,
@@ -350,7 +350,7 @@ class TestSweep:
         ns = range(1, 121)
         sweeps, elapsed = {}, 0.0
         for variant in ("ones", "full"):
-            monkeypatch.setattr(resultants, "_last_sweep", ((), {}, [0]))
+            memo.clear()
             start = time.perf_counter()
             sweeps[variant] = list(cyclic_resultant_sweep(f, ns, variant))
             elapsed += time.perf_counter() - start
@@ -421,21 +421,34 @@ class TestSweepMemo:
         call(f, self.P)
         assert len(kernel_runs) == 1
 
-    def test_memo_is_bounded(self):
+    def test_memo_is_bounded(self, kernel_runs):
         # R(t - 2^1000, t^n - 1) = 1 - 2^(1000 n): 8.5 M bits for n <= 130
         f = parse_laurent("t - 2^1000")
         ns = range(1, 131)
         full = list(cyclic_resultant_sweep(f, ns, "full"))
-        assert sum(abs(v).bit_length() for v in full) > resultants._MEMO_BITS
+        bits = [abs(v).bit_length() for v in full]
+        assert sum(bits) > resultants._MEMO_BITS
         assert full == [cyclic_resultant(f, n, "full") for n in ns]
-        # n past the bound are missing from the memo, so the whole request
-        # is swept again
-        assert list(cyclic_resultant_sweep(f, ns, "ones")) == \
-            [cyclic_resultant(f, n, "ones") for n in ns]
-        key, known, held = resultants._last_sweep
-        assert key == (-(2**1000), 1)
-        assert held == [sum(v.bit_length() for v in known.values())]
-        assert 0 < held[0] <= resultants._MEMO_BITS
+        # the n whose bits fit under the bound are kept and served, with no
+        # kernel run; a request past them is swept again, whole
+        held = max(k for k in ns if sum(bits[:k]) <= resultants._MEMO_BITS)
+        assert held == 129
+        assert list(cyclic_resultant_sweep(f, range(1, held + 1), "ones")) \
+            == [cyclic_resultant(f, n, "ones") for n in range(1, held + 1)]
+        assert len(kernel_runs) == 1
+        for _ in range(2):
+            assert list(cyclic_resultant_sweep(f, ns, "ones")) == \
+                [cyclic_resultant(f, n, "ones") for n in ns]
+        assert kernel_runs[1:] == [list(ns)] * 2
+
+    def test_clear_empties_the_sweep(self, kernel_runs):
+        f = parse_laurent(self.F)
+        resultant_limit_estimate(f, self.P, 40)
+        resultant_limit_estimate(f, self.P, 40)
+        assert len(kernel_runs) == 1
+        memo.clear()
+        resultant_limit_estimate(f, self.P, 40)
+        assert kernel_runs == [list(range(1, 41))] * 2
 
 
 class TestValuationPath:

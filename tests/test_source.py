@@ -10,13 +10,27 @@ import padic_mahler
 PACKAGE = pathlib.Path(padic_mahler.__file__).parent
 
 
-def test_no_bare_asserts():
-    # runtime checks must raise typed errors: python -O strips asserts
+def _statements(kind):
+    """module:line of every ``kind`` node in the package's modules."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if isinstance(node, kind)]
+    return found
+
+
+def test_no_bare_asserts():
+    # runtime checks must raise typed errors: python -O strips asserts
+    found = _statements(ast.Assert)
+    assert not found, found
+
+
+def test_no_global_statements():
+    # results kept between calls live in memo.py's slots, which one
+    # memo.clear() empties; a module variable rebound by a function would
+    # escape it
+    found = _statements(ast.Global)
     assert not found, found
 
 
